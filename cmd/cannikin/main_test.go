@@ -6,6 +6,8 @@ import (
 	"time"
 
 	"cannikin"
+
+	"cannikin/internal/runspec"
 )
 
 func TestRunList(t *testing.T) {
@@ -192,6 +194,17 @@ func TestRunMLPBadFlags(t *testing.T) {
 	if err := run([]string{"-mlp", "-backend", "tpu"}, &sb); err == nil {
 		t.Fatal("bad -backend accepted")
 	}
+}
+
+// parseFaults lowers a -fault mini-DSL string the way the command does:
+// runspec parses it, the shared spec lowering converts it.
+func parseFaults(dsl, replan string) (*cannikin.FaultConfig, error) {
+	events, err := runspec.ParseFaults(dsl)
+	if err != nil {
+		return nil, err
+	}
+	cfg, err := cannikin.MLPConfigFromSpec(&runspec.Spec{Faults: events, FaultReplan: replan})
+	return cfg.Fault, err
 }
 
 func TestParseFaults(t *testing.T) {

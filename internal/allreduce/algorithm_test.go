@@ -45,37 +45,62 @@ func assertBitwise(t *testing.T, label string, got, want [][]float64) {
 	}
 }
 
+// checkAlgoBitwise reduces random vectors through one ring built by build
+// and asserts every rank holds algo's inline reference, bit for bit.
+func checkAlgoBitwise(t *testing.T, build func(*testing.T, int) ringSet, rng *rand.Rand, algo Algorithm, n, dim int, guard bool) {
+	t.Helper()
+	vs := randomVectors(rng, n, dim)
+	want := cloneVectors(vs)
+	inlineReference(algo, want)
+	got := cloneVectors(vs)
+	set := build(t, n)
+	for rank, err := range reduceAllAlg(set, got, algo, guard) {
+		if err != nil {
+			t.Fatalf("%s n=%d dim=%d guard=%v rank %d: %v", algo, n, dim, guard, rank, err)
+		}
+	}
+	set.close()
+	assertBitwise(t, string(algo), got, want)
+}
+
+// largeRingCases are payloads big enough that the pipelined schedule sends
+// more than one sub-chunk per hop (k), up to the pipelineMaxChunks cap.
+// The small dims elsewhere in the suite all run at k = 1.
+var largeRingCases = []struct{ n, dim, k int }{
+	{3, 49157, 3},
+	{3, 400003, pipelineMaxChunks},
+}
+
 // TestAlgorithmChanBitwise pins every distributed algorithm to its inline
 // sequential reference, bit for bit, across ring sizes (power-of-two and
-// folded), dims (empty chunks, odd splits, multi-chunk), and guard modes,
-// on the channel transport.
+// folded), dims (empty chunks, odd splits, multi-chunk, multi-sub-chunk),
+// and guard modes, on the channel transport.
 func TestAlgorithmChanBitwise(t *testing.T) {
 	t.Parallel()
 	rng := rand.New(rand.NewSource(23))
-	for _, algo := range []Algorithm{AlgoHD, AlgoPipeline} {
+	for _, algo := range []Algorithm{AlgoRing, AlgoHD, AlgoPipeline} {
 		for _, n := range []int{2, 3, 4, 5, 6, 7, 8, 9} {
 			for _, dim := range []int{1, 3, 8, 17, 64, 257} {
 				for _, guard := range []bool{false, true} {
-					vs := randomVectors(rng, n, dim)
-					want := cloneVectors(vs)
-					inlineReference(algo, want)
-					got := cloneVectors(vs)
-					set := buildChanSet(t, n)
-					for rank, err := range reduceAllAlg(set, got, algo, guard) {
-						if err != nil {
-							t.Fatalf("%s n=%d dim=%d guard=%v rank %d: %v", algo, n, dim, guard, rank, err)
-						}
-					}
-					set.close()
-					assertBitwise(t, string(algo), got, want)
+					checkAlgoBitwise(t, buildChanSet, rng, algo, n, dim, guard)
 				}
+			}
+		}
+	}
+	for _, c := range largeRingCases {
+		if k := pipelineChunks(c.n, c.dim); k != c.k {
+			t.Fatalf("pipelineChunks(%d, %d) = %d, want %d", c.n, c.dim, k, c.k)
+		}
+		for _, algo := range []Algorithm{AlgoRing, AlgoPipeline} {
+			for _, guard := range []bool{false, true} {
+				checkAlgoBitwise(t, buildChanSet, rng, algo, c.n, c.dim, guard)
 			}
 		}
 	}
 }
 
-// TestAlgorithmTCPBitwise proves transport independence for the new
-// schedules: TCP rings — immediate, delayed, and adaptive batching — must
+// TestAlgorithmTCPBitwise proves transport independence for every
+// schedule: TCP rings — immediate, delayed, and adaptive batching — must
 // match the same inline references bit for bit, peer links included.
 func TestAlgorithmTCPBitwise(t *testing.T) {
 	t.Parallel()
@@ -83,24 +108,19 @@ func TestAlgorithmTCPBitwise(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
 			rng := rand.New(rand.NewSource(29))
-			for _, algo := range []Algorithm{AlgoHD, AlgoPipeline} {
+			for _, algo := range []Algorithm{AlgoRing, AlgoHD, AlgoPipeline} {
 				for _, n := range []int{2, 3, 5} {
 					for _, dim := range []int{17, 257} {
 						for _, guard := range []bool{false, true} {
-							vs := randomVectors(rng, n, dim)
-							want := cloneVectors(vs)
-							inlineReference(algo, want)
-							got := cloneVectors(vs)
-							set := tc.build(t, n)
-							for rank, err := range reduceAllAlg(set, got, algo, guard) {
-								if err != nil {
-									t.Fatalf("%s n=%d dim=%d guard=%v rank %d: %v", algo, n, dim, guard, rank, err)
-								}
-							}
-							set.close()
-							assertBitwise(t, string(algo), got, want)
+							checkAlgoBitwise(t, tc.build, rng, algo, n, dim, guard)
 						}
 					}
+				}
+			}
+			c := largeRingCases[0]
+			for _, algo := range []Algorithm{AlgoRing, AlgoPipeline} {
+				for _, guard := range []bool{false, true} {
+					checkAlgoBitwise(t, tc.build, rng, algo, c.n, c.dim, guard)
 				}
 			}
 		})

@@ -29,10 +29,7 @@ func errRingSize(n int) error { return fmt.Errorf("allreduce: ring of %d workers
 
 // Options configures one ring reduce call. The zero value is a plain
 // blocking reduce; unset guarded fields take defaults, so callers state
-// only what they deviate on. Options replaces the former sprawl of
-// Reduce / ReduceGuarded / Guard / RetryPolicy.WithDefaults call shapes
-// behind one surface (the legacy names remain as thin deprecated
-// wrappers).
+// only what they deviate on.
 type Options struct {
 	// Guard runs every hop under the retry policy's deadline with bounded
 	// exponential-backoff retry. A hop that exhausts its budget — or whose
@@ -161,137 +158,18 @@ func (r *Ring) ReduceWith(rank int, seg []float64, opts Options) error {
 	if n == 1 || dim == 0 {
 		return nil
 	}
-	sc := &r.scratch[rank]
-	ep := sc.ep
-	if ep == nil {
+	if r.scratch[rank].ep == nil {
 		return fmt.Errorf("allreduce: rank %d is not local to this transport", rank)
 	}
+	// The ring is the pipelined schedule with one sub-chunk per hop.
 	switch r.sel.Resolve(opts.Algorithm, n, dim) {
 	case AlgoHD:
 		return r.reduceHD(rank, seg, opts)
 	case AlgoPipeline:
-		return r.reducePipeline(rank, seg, opts)
+		return r.reducePipeline(rank, seg, opts, pipelineChunks(n, dim))
+	default:
+		return r.reducePipeline(rank, seg, opts, 1)
 	}
-	// Chunk boundaries: chunk c covers [bounds[c], bounds[c+1]). The
-	// bounds slice is rank-private scratch reused across calls.
-	bounds := sc.bounds
-	for c := 0; c <= n; c++ {
-		bounds[c] = c * dim / n
-	}
-	chunk := func(c int) []float64 {
-		c = ((c % n) + n) % n
-		return seg[bounds[c]:bounds[c+1]]
-	}
-
-	// Message buffers circulate around the ring: once a received buffer
-	// has been consumed it becomes this rank's next send buffer, and the
-	// final buffer is parked in the rank's scratch for the next call, so a
-	// steady-state reduce allocates nothing.
-	spare := sc.spare
-	sc.spare = nil
-	stage := func(src []float64) []float64 {
-		var msg []float64
-		if cap(spare) >= len(src) {
-			msg = spare[:len(src)]
-			spare = nil
-		} else {
-			msg = make([]float64, len(src))
-		}
-		copy(msg, src)
-		return msg
-	}
-
-	var p RetryPolicy
-	if opts.Guard {
-		p = opts.Policy.WithDefaults()
-	}
-	hop := 0
-	firstSend := true
-	send := func(msg []float64) error {
-		if !opts.Guard {
-			if err := ep.Send(msg); err != nil {
-				return &RingFault{Rank: rank, Suspect: (rank + 1) % n, Op: "send", Hop: hop, Cause: err}
-			}
-			return nil
-		}
-		if firstSend {
-			firstSend = false
-			if opts.SendDelay > 0 {
-				time.Sleep(opts.SendDelay)
-			}
-			// Each dropped attempt is a lost packet: the payload is not
-			// delivered, and the sender retransmits after one hop timeout.
-			for d := 0; d < opts.SendDrops; d++ {
-				time.Sleep(p.HopTimeout)
-			}
-		}
-		if err := ep.SendTimed(msg, p); err != nil {
-			return &RingFault{Rank: rank, Suspect: (rank + 1) % n, Op: "send", Hop: hop, Cause: err}
-		}
-		return nil
-	}
-	recv := func() ([]float64, error) {
-		var msg []float64
-		var err error
-		if opts.Guard {
-			msg, err = ep.RecvTimed(p)
-		} else {
-			msg, err = ep.Recv()
-		}
-		if err != nil {
-			return nil, &RingFault{Rank: rank, Suspect: (rank - 1 + n) % n, Op: "recv", Hop: hop, Cause: err}
-		}
-		return msg, nil
-	}
-
-	// Reduce-scatter: after step s, worker rank holds the partial
-	// sum of chunk (rank - s) accumulated over s+1 workers. After
-	// n-1 steps, worker rank owns the complete chunk (rank+1).
-	for s := 0; s < n-1; s++ {
-		sendIdx := rank - s
-		if err := send(stage(chunk(sendIdx))); err != nil {
-			sc.spare = spare
-			return err
-		}
-		msg, err := recv()
-		if err != nil {
-			sc.spare = spare
-			return err
-		}
-		dst := chunk(sendIdx - 1)
-		for j := range dst {
-			dst[j] += msg[j]
-		}
-		spare = msg
-		hop++
-	}
-	// All-gather: circulate the completed chunks.
-	for s := 0; s < n-1; s++ {
-		sendIdx := rank + 1 - s
-		if err := send(stage(chunk(sendIdx))); err != nil {
-			sc.spare = spare
-			return err
-		}
-		msg, err := recv()
-		if err != nil {
-			sc.spare = spare
-			return err
-		}
-		copy(chunk(sendIdx-1), msg)
-		spare = msg
-		hop++
-	}
-	sc.spare = spare
-	return nil
-}
-
-// Reduce is ReduceWith with zero Options on a channel ring, where
-// unguarded hops cannot fail.
-//
-// Deprecated: new code should call ReduceWith, which reports link failures
-// on remote transports.
-func (r *Ring) Reduce(rank int, seg []float64) {
-	_ = r.ReduceWith(rank, seg, Options{})
 }
 
 // smallReduceBytes is the payload size at or below which AllReduce computes

@@ -2,29 +2,30 @@ package allreduce
 
 import "time"
 
-// Chunk-pipelined ring reduce-scatter / all-gather. The schedule is the
-// plain ring's — same chunk bounds, same per-element accumulation order —
-// but every hop's segment travels as k = pipelineChunks(n, dim) separate
-// sub-chunk messages. With FIFO links and buffered transports that lets
-// hop i+1's transfer overlap hop i's accumulation (the successor starts
-// consuming sub-chunk 0 while sub-chunk 1 is still in flight) and keeps
-// the per-message working set cache-resident, which is what kills the
-// large-payload regression where ns/op rose with GOMAXPROCS: all ranks
-// were streaming full dim/n-sized segments through each other's caches at
-// once.
+// reducePipeline is the ring reduce-scatter / all-gather, the one body
+// behind both ring schedules: every hop's chunk travels as k separate
+// sub-chunk messages. AlgoRing runs it at k = 1 (one message per hop);
+// AlgoPipeline at k = pipelineChunks(n, dim). With FIFO links and buffered
+// transports k > 1 lets hop i+1's transfer overlap hop i's accumulation
+// (the successor starts consuming sub-chunk 0 while sub-chunk 1 is still
+// in flight) and keeps the per-message working set cache-resident, which
+// is what kills the large-payload regression where ns/op rose with
+// GOMAXPROCS: all ranks were streaming full dim/n-sized segments through
+// each other's caches at once.
 //
-// Determinism: the additions are element-wise identical to the plain
-// ring's — splitting a message changes framing, never which operands meet
-// in which order — so AlgoPipeline is bitwise-identical to AlgoRing (and
-// to ringReduceInline) at every (n, dim, partition). The sub-chunk count
-// is a pure function of (n, dim); it affects only the message schedule.
-func (r *Ring) reducePipeline(rank int, seg []float64, opts Options) error {
+// Determinism: chunk bounds and the per-element accumulation order do not
+// depend on k — splitting a message changes framing, never which operands
+// meet in which order — so AlgoPipeline is bitwise-identical to AlgoRing
+// (and to ringReduceInline) at every (n, dim, partition). k is a pure
+// function of (n, dim) and affects only the message schedule.
+func (r *Ring) reducePipeline(rank int, seg []float64, opts Options, k int) error {
 	n := r.n
 	dim := len(seg)
 	sc := &r.scratch[rank]
 	ep := sc.ep
-	k := pipelineChunks(n, dim)
 
+	// Chunk c covers [bounds[c], bounds[c+1]); bounds is rank-private
+	// scratch reused across calls.
 	bounds := sc.bounds
 	for c := 0; c <= n; c++ {
 		bounds[c] = c * dim / n
@@ -34,6 +35,10 @@ func (r *Ring) reducePipeline(rank int, seg []float64, opts Options) error {
 		return bounds[c], bounds[c+1]
 	}
 
+	// Message buffers circulate around the ring: once a received buffer
+	// has been consumed it becomes this rank's next send buffer, and the
+	// final buffer is parked in the rank's scratch for the next call, so a
+	// steady-state reduce allocates nothing.
 	spare := sc.spare
 	sc.spare = nil
 	stage := func(src []float64) []float64 {
@@ -66,6 +71,8 @@ func (r *Ring) reducePipeline(rank int, seg []float64, opts Options) error {
 			if opts.SendDelay > 0 {
 				time.Sleep(opts.SendDelay)
 			}
+			// Each dropped attempt is a lost packet: the payload is not
+			// delivered, and the sender retransmits after one hop timeout.
 			for d := 0; d < opts.SendDrops; d++ {
 				time.Sleep(p.HopTimeout)
 			}
@@ -96,9 +103,10 @@ func (r *Ring) reducePipeline(rank int, seg []float64, opts Options) error {
 		return lo + t*w/k, lo + (t+1)*w/k
 	}
 
-	// Reduce-scatter: identical dataflow to the ring path, one sub-chunk
-	// message at a time. Sending before receiving within each sub-step
-	// needs only one slot of link buffering, exactly like the plain ring.
+	// Reduce-scatter: after step s, rank holds the partial sum of chunk
+	// (rank - s - 1) accumulated over s+2 ranks; after n-1 steps it owns
+	// the complete chunk (rank + 1). Sending before receiving within each
+	// sub-step needs only one slot of link buffering.
 	for s := 0; s < n-1; s++ {
 		slo, shi := chunkAt(rank - s)
 		dlo, dhi := chunkAt(rank - s - 1)

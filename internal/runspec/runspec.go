@@ -6,8 +6,9 @@
 // override the file, so `cannikin-worker -spec run.json -rank 2` launches
 // rank 2 of a shared spec.
 //
-// The package is deliberately dependency-light (stdlib only): the cmds
-// translate a Spec into the public cannikin API, not the other way around.
+// The package is deliberately dependency-light (stdlib only): the root
+// package's MLPConfigFromSpec and TrainConfigFromSpec translate a Spec into
+// the public cannikin API, not the other way around.
 package runspec
 
 import (

@@ -25,8 +25,8 @@ const ringDepth = 8
 // usable parallelism — min(GOMAXPROCS, NumCPU), so an oversubscribed
 // GOMAXPROCS doesn't fake capacity — because then the extra comm goroutines
 // buy no overlap, only scheduler churn. Fault-tolerant runs always run the
-// pair: the guarded step's fail-fast skip of remaining buckets lives in the
-// comm goroutine (validate rejects an explicit merged+Fault combination).
+// pair: only the comm goroutine builds guarded hop options (validate
+// rejects an explicit merged+Fault combination).
 func resolveCommMode(mode string, nWorkers int, ft *faultTolerance) bool {
 	if ft != nil {
 		return false
@@ -108,10 +108,10 @@ type stepResult struct {
 // commStats aggregates one step's communication timing inside the comm
 // goroutine.
 type commStats struct {
-	busy     time.Duration // total time inside ring.Reduce
+	busy     time.Duration // total time inside Ring.ReduceWith
 	tu       time.Duration // the final bucket's reduce duration
 	lastDone time.Time     // when the final bucket's reduce returned
-	err      error         // sticky first hop failure (guarded mode)
+	err      error         // sticky first hop failure
 	suspect  int           // neighbor suspected by the failed hop
 }
 
@@ -253,8 +253,12 @@ func (e *liveExec) step(epoch, step int, xs []*tensor.T, labels [][]int, stepWei
 		LocalSqNorms: e.sampleNorms[:n],
 	}
 	// Collect in rank order: a BSP barrier, and a deterministic profile.
+	var err error
 	for i, w := range e.workers {
 		r := <-w.results
+		if r.err != nil && err == nil {
+			err = r.err
+		}
 		sample.Batches[i] = r.batch
 		sample.LocalSqNorms[i] = r.localSq
 		if i == 0 {
@@ -262,7 +266,7 @@ func (e *liveExec) step(epoch, step int, xs []*tensor.T, labels [][]int, stepWei
 		}
 		e.prof.Samples = append(e.prof.Samples, r.sample)
 	}
-	return sample, nil
+	return sample, err
 }
 
 // stepGuarded runs one synchronized step under fault tolerance: workers
@@ -417,13 +421,9 @@ func (e *liveExec) close() {
 
 func (w *liveWorker) computeLoop() {
 	for t := range w.tasks {
-		if w.ft == nil {
-			w.results <- w.runStep(t)
-			continue
-		}
-		r := w.runStepGuarded(t)
+		r := w.runStep(t)
 		w.results <- r
-		if r.aborted {
+		if w.ft == nil || r.aborted {
 			continue
 		}
 		// Two-phase commit: apply the optimizer step only on a unanimous
@@ -441,8 +441,32 @@ func (w *liveWorker) computeLoop() {
 }
 
 // runStep executes one training step with overlapped communication and
-// returns the result together with its wall-clock phase sample.
+// returns the result together with its wall-clock phase sample. With fault
+// tolerance armed it first consults the injector at the step boundary — a
+// kill parks the worker until teardown, simulating a crashed process that
+// simply stops responding; a stall delays compute — and it stops before
+// the optimizer update, which applyStep performs after the driver's commit
+// vote.
 func (w *liveWorker) runStep(t stepTask) stepResult {
+	var f faultinject.StepFaults
+	if w.ft != nil {
+		f = w.ft.inj.At(w.rank, t.step)
+		w.curFaults = f
+		if f.Kill {
+			<-w.closing
+			return stepResult{aborted: true, faults: f, suspect: -1}
+		}
+		if f.Stall > 0 {
+			timer := time.NewTimer(f.Stall)
+			select {
+			case <-timer.C:
+			case <-w.closing:
+				timer.Stop()
+				return stepResult{aborted: true, faults: f, suspect: -1}
+			}
+		}
+	}
+
 	start := time.Now()
 	w.net.ZeroGrad()
 	logits := w.net.Forward(t.x)
@@ -471,7 +495,7 @@ func (w *liveWorker) runStep(t stepTask) stepResult {
 				syncStart = time.Now()
 			}
 			if w.merged {
-				w.reduceBucket(nextBucket, &cs)
+				w.reduceBucket(nextBucket, allreduce.Options{}, &cs)
 			} else {
 				w.commQ <- nextBucket
 			}
@@ -494,6 +518,9 @@ func (w *liveWorker) runStep(t stepTask) stepResult {
 		w.commQ <- -1
 		cs = <-w.commDone
 	}
+	if cs.err != nil {
+		return stepResult{err: cs.err, suspect: cs.suspect, faults: f}
+	}
 
 	// |g|² of the reduced gradient: the driver only consumes rank 0's
 	// value (the all-gather makes every rank's commBuf identical), so the
@@ -502,101 +529,7 @@ func (w *liveWorker) runStep(t stepTask) stepResult {
 	if w.rank == 0 {
 		globalSq = sqNorm(w.commBuf)
 	}
-	postStart := time.Now()
-	w.net.SetFlatGrads(w.commBuf)
-	w.opt.Step(w.params, t.lr)
-	end := time.Now()
-
-	return stepResult{
-		batch:    t.x.Rows(),
-		localSq:  localSq,
-		globalSq: globalSq,
-		suspect:  -1,
-		sample: Sample{
-			Epoch:          t.epoch,
-			Step:           t.step,
-			Worker:         w.rank,
-			Batch:          t.x.Rows(),
-			Buckets:        w.buckets,
-			Pre:            preEnd.Sub(start).Seconds(),
-			Backprop:       backEnd.Sub(preEnd).Seconds(),
-			Post:           end.Sub(postStart).Seconds(),
-			SyncStart:      syncStart.Sub(start).Seconds(),
-			LastBucketDone: cs.lastDone.Sub(start).Seconds(),
-			CommBusy:       cs.busy.Seconds(),
-			TuBusy:         cs.tu.Seconds(),
-		},
-	}
-}
-
-// runStepGuarded is runStep under fault injection and per-hop deadlines:
-// it consults the injector at the step boundary (kill, stall), performs
-// the identical compute and bucket-launch sequence, and stops before the
-// optimizer update — that is applied by applyStep after the driver's
-// commit vote. A kill parks the worker until teardown, simulating a
-// crashed process that simply stops responding.
-func (w *liveWorker) runStepGuarded(t stepTask) stepResult {
-	f := w.ft.inj.At(w.rank, t.step)
-	w.curFaults = f
-	if f.Kill {
-		<-w.closing
-		return stepResult{aborted: true, faults: f, suspect: -1}
-	}
-	if f.Stall > 0 {
-		timer := time.NewTimer(f.Stall)
-		select {
-		case <-timer.C:
-		case <-w.closing:
-			timer.Stop()
-			return stepResult{aborted: true, faults: f, suspect: -1}
-		}
-	}
-
-	start := time.Now()
-	w.net.ZeroGrad()
-	logits := w.net.Forward(t.x)
-	w.dlogits = tensor.Reuse(w.dlogits, logits.Rows(), logits.Cols())
-	nn.SoftmaxCrossEntropyInto(w.dlogits, logits, t.labels)
-	preEnd := time.Now()
-
-	nextBucket := w.buckets - 1
-	prevFr := w.dim
-	var syncStart time.Time
-	w.net.BackwardLayerwise(w.dlogits, func(fr int) {
-		if fr == prevFr {
-			return
-		}
-		w.stageGrads(fr, prevFr, t.weight)
-		for nextBucket >= 0 && nextBucket*w.bucketLen >= fr {
-			if syncStart.IsZero() {
-				syncStart = time.Now()
-			}
-			w.commQ <- nextBucket
-			nextBucket--
-		}
-		prevFr = fr
-	})
-	backEnd := time.Now()
-
-	localSq := 0.0
-	for _, p := range w.params {
-		for _, g := range p.Grad.Data() {
-			localSq += g * g
-		}
-	}
-	w.commQ <- -1
-	cs := <-w.commDone
-	if cs.err != nil {
-		return stepResult{err: cs.err, suspect: cs.suspect, faults: f}
-	}
-
-	// As in runStep: only rank 0's reduced-gradient norm is consumed.
-	var globalSq float64
-	if w.rank == 0 {
-		globalSq = sqNorm(w.commBuf)
-	}
-
-	return stepResult{
+	r := stepResult{
 		batch:    t.x.Rows(),
 		localSq:  localSq,
 		globalSq: globalSq,
@@ -616,6 +549,12 @@ func (w *liveWorker) runStepGuarded(t stepTask) stepResult {
 			TuBusy:         cs.tu.Seconds(),
 		},
 	}
+	if w.ft == nil {
+		postStart := time.Now()
+		w.applyStep(t.lr)
+		r.sample.Post = time.Since(postStart).Seconds()
+	}
+	return r
 }
 
 // applyStep writes the reduced gradient back and applies the optimizer —
@@ -642,17 +581,31 @@ func (w *liveWorker) stageGrads(fr, prevFr int, weight float64) {
 	}
 }
 
-// reduceBucket runs bucket k's unguarded ring reduction and accumulates
-// its timing — the one body shared by the overlapped comm goroutine and
-// the merged inline path, so both modes measure identically.
-func (w *liveWorker) reduceBucket(k int, cs *commStats) {
+// reduceBucket runs bucket k's ring reduction under o and accumulates its
+// timing — the one body shared by the overlapped comm goroutine and the
+// merged inline path, so both modes measure identically. The first hop
+// failure is sticky for the rest of the step: later buckets are skipped
+// (fail fast) and the failure is reported through cs.
+func (w *liveWorker) reduceBucket(k int, o allreduce.Options, cs *commStats) {
+	if cs.err != nil {
+		return
+	}
 	lo := k * w.bucketLen
 	hi := lo + w.bucketLen
 	if hi > w.dim {
 		hi = w.dim
 	}
+	o.Algorithm = w.algs[k]
 	t0 := time.Now()
-	_ = w.ring.ReduceWith(w.rank, w.commBuf[lo:hi], allreduce.Options{Algorithm: w.algs[k]})
+	if err := w.ring.ReduceWith(w.rank, w.commBuf[lo:hi], o); err != nil {
+		cs.err = err
+		cs.suspect = -1
+		var rf *allreduce.RingFault
+		if errors.As(err, &rf) {
+			cs.suspect = rf.Suspect
+		}
+		return
+	}
 	now := time.Now()
 	cs.busy += now.Sub(t0)
 	cs.lastDone = now
@@ -665,56 +618,24 @@ func (w *liveWorker) reduceBucket(k int, cs *commStats) {
 // buckets in the same sequence, the blocking ring collective is deadlock
 // free, and per-bucket FIFO links keep messages matched even when ranks
 // are several buckets apart. In guarded mode every hop runs under the
-// retry policy's deadline; the first hop failure is sticky for the rest of
-// the step (remaining buckets are skipped, fail fast) and is reported to
-// the compute goroutine through commDone.
+// retry policy's deadline, and the step's injected message faults hit its
+// first bucket (buckets launch high-index-first).
 func (w *liveWorker) commLoop() {
 	var cs commStats
-	cs.suspect = -1
-	newStep := true
 	for k := range w.commQ {
 		if k < 0 {
 			w.commDone <- cs
 			cs = commStats{}
-			cs.suspect = -1
-			newStep = true
 			continue
 		}
-		lo := k * w.bucketLen
-		hi := lo + w.bucketLen
-		if hi > w.dim {
-			hi = w.dim
-		}
-		if w.ft == nil {
-			w.reduceBucket(k, &cs)
-			continue
-		}
-		if cs.err != nil {
-			newStep = false
-			continue
-		}
-		o := allreduce.Options{Guard: true, Policy: w.ft.policy, Algorithm: w.algs[k]}
-		if newStep {
-			// The step's injected message faults hit its first send.
-			o.SendDelay = w.curFaults.SendDelay
-			o.SendDrops = w.curFaults.SendDrops
-		}
-		newStep = false
-		t0 := time.Now()
-		if err := w.ring.ReduceWith(w.rank, w.commBuf[lo:hi], o); err != nil {
-			cs.err = err
-			cs.suspect = -1
-			var rf *allreduce.RingFault
-			if errors.As(err, &rf) {
-				cs.suspect = rf.Suspect
+		var o allreduce.Options
+		if w.ft != nil {
+			o = allreduce.Options{Guard: true, Policy: w.ft.policy}
+			if k == w.buckets-1 {
+				o.SendDelay = w.curFaults.SendDelay
+				o.SendDrops = w.curFaults.SendDrops
 			}
-			continue
 		}
-		now := time.Now()
-		cs.busy += now.Sub(t0)
-		cs.lastDone = now
-		if k == 0 {
-			cs.tu = now.Sub(t0)
-		}
+		w.reduceBucket(k, o, &cs)
 	}
 }

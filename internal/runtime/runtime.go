@@ -1,5 +1,5 @@
 // Package runtime executes real data-parallel training over a set of
-// workers, in one of two backends sharing a single training driver:
+// workers, in one of three executors sharing a single training driver:
 //
 //   - "sim": the sequential reference — workers run one after another in
 //     the driver goroutine and synchronize with a bucketed ring all-reduce
@@ -15,8 +15,12 @@
 //     T_u) and the run emits a Profile that perfmodel can fit, closing the
 //     measure → model → optimize loop on real execution for the first
 //     time.
+//   - "worker" (TrainWorker): one rank per OS process — the executor holds
+//     only its own replica and reduces over the caller's ring, typically a
+//     TCP transport whose other ranks are other processes running the same
+//     driver.
 //
-// Both backends implement the identical arithmetic: Eq. 9 batch-weighted
+// All executors implement the identical arithmetic: Eq. 9 batch-weighted
 // aggregation with summation order fixed by the ring topology and bucket
 // boundaries. For the same seed and config their model weights are
 // bitwise-identical — the differential tests in this package enforce it.
@@ -72,7 +76,8 @@ const (
 // Config describes one data-parallel training run.
 type Config struct {
 	// Backend selects the execution engine: BackendSim (default) or
-	// BackendLive.
+	// BackendLive. TrainWorker runs BackendWorker and accepts only that or
+	// the empty string.
 	Backend string
 	// LocalBatches are the per-worker local batch sizes; their count sets
 	// the number of data-parallel workers.
@@ -341,8 +346,18 @@ func Train(cfg Config) (*Result, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
+	return train(cfg, nil)
+}
+
+// train is the shared driver behind Train and TrainWorker: wk is nil for
+// the in-process backends and carries this process's rank and ring in
+// worker mode.
+func train(cfg Config, wk *WorkerConfig) (*Result, error) {
 	backend := cfg.Backend
-	if backend == "" {
+	switch {
+	case wk != nil:
+		backend = BackendWorker
+	case backend == "":
 		backend = BackendSim
 	}
 	if cfg.KernelShards > 0 {
@@ -368,7 +383,7 @@ func Train(cfg Config) (*Result, error) {
 		inc.schedule = cfg.Fault.Schedule
 	}
 	for {
-		next, err := runIncarnation(&cfg, inc, res, backend)
+		next, err := runIncarnation(&cfg, inc, res, backend, wk)
 		if err != nil {
 			return nil, err
 		}
@@ -388,7 +403,7 @@ func Train(cfg Config) (*Result, error) {
 // buckets depend on the worker count, and a fresh run launched from an
 // eviction checkpoint on the survivor cluster would derive exactly these —
 // which is what keeps the recovery differential test bitwise.
-func runIncarnation(cfg *Config, inc *incarnation, res *Result, backend string) (*incarnation, error) {
+func runIncarnation(cfg *Config, inc *incarnation, res *Result, backend string, wk *WorkerConfig) (*incarnation, error) {
 	loader := data.NewHeteroLoader(cfg.Dataset, inc.src)
 	nWorkers := len(inc.localBatches)
 	globalBatch := 0
@@ -399,8 +414,14 @@ func runIncarnation(cfg *Config, inc *incarnation, res *Result, backend string) 
 	// All replicas start from identical weights: either the incarnation's
 	// seed vector (a recovery checkpoint, or Config.InitWeights), or a
 	// random initialization synchronized the way DDP does it — rank 0
-	// broadcasts over the ring.
-	replicas := make([]*nn.Network, nWorkers)
+	// broadcasts over the ring. A worker process holds only its own
+	// replica, built from rank 0's stream: exactly what the broadcast
+	// leaves on every replica.
+	local := nWorkers
+	if wk != nil {
+		local = 1
+	}
+	replicas := make([]*nn.Network, local)
 	for i := range replicas {
 		replicas[i] = nn.NewMLP(cfg.Sizes, inc.src.Split(fmt.Sprintf("init-%d", i)))
 	}
@@ -412,7 +433,7 @@ func runIncarnation(cfg *Config, inc *incarnation, res *Result, backend string) 
 			replicas[i].SetFlatWeights(inc.initWeights)
 		}
 	} else {
-		weightBufs := make([][]float64, nWorkers)
+		weightBufs := make([][]float64, len(replicas))
 		for i := range replicas {
 			weightBufs[i] = replicas[i].FlatWeights()
 		}
@@ -423,7 +444,7 @@ func runIncarnation(cfg *Config, inc *incarnation, res *Result, backend string) 
 			replicas[i].SetFlatWeights(weightBufs[i])
 		}
 	}
-	opts := make([]*nn.SGD, nWorkers)
+	opts := make([]*nn.SGD, local)
 	for i := range opts {
 		opts[i] = nn.NewSGD(cfg.Momentum, 0)
 		// A join handoff restores momentum on every replica — incumbents
@@ -464,6 +485,8 @@ func runIncarnation(cfg *Config, inc *incarnation, res *Result, backend string) 
 		exec = newSeqExec(replicas, opts, bucketLen, algs)
 	case BackendLive:
 		exec = newLiveExec(replicas, opts, bucketLen, algs, ft, merged)
+	case BackendWorker:
+		exec = newWorkerExec(wk, replicas[0], opts[0], bucketLen, algs)
 	}
 	defer func() {
 		if exec != nil {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"cannikin/internal/allreduce"
-	"cannikin/internal/data"
 	"cannikin/internal/gns"
 	"cannikin/internal/nn"
 	"cannikin/internal/tensor"
@@ -35,24 +34,24 @@ type WorkerConfig struct {
 }
 
 // TrainWorker runs one rank of a data-parallel training job whose other
-// ranks live in other processes, connected by cfg.Ring. It produces
-// weights bitwise-identical to Train on the same Config: determinism rests
-// on rng.Source.Split being pure, so every process independently reproduces
-// the dataset, the loader's full draw sequence (it draws every rank's shard
-// and trains only on its own), and the common initial weights (rank 0's
-// initialization, which is exactly what Train's ring broadcast leaves on
-// every replica) — and on the ring fixing the gradient summation order
+// ranks live in other processes, connected by cfg.Ring. It is the shared
+// training driver (the one Train runs) over a rank-local executor, so it
+// evaluates, grows batches, streams OnEpoch, and honors Ctx exactly like
+// Train, and produces weights bitwise-identical to Train on the same
+// Config. Determinism rests on rng.Source.Split being pure: every process
+// independently reproduces the dataset, the loader's full draw sequence
+// (it draws every rank's shard and trains only on its own), and the common
+// initial weights — and on the ring fixing the gradient summation order
 // regardless of transport.
 //
-// Cross-rank GNS state is replicated exactly by ring-reducing each rank's
-// one-hot |g_i|² vector: adding zeros is exact in floating point, so every
-// process observes identical norms and follows the identical learning-rate
-// schedule.
-//
-// Fault injection and eviction are not supported in worker mode: a dead
+// Fault injection and hot-join are not supported in worker mode: a dead
 // peer fails the run with a *RingFault naming the suspect, and recovery is
 // the coordinator's concern.
 func TrainWorker(cfg WorkerConfig) (*Result, error) {
+	if cfg.Backend != "" && cfg.Backend != BackendWorker {
+		return nil, fmt.Errorf("runtime: worker mode cannot run backend %q", cfg.Backend)
+	}
+	cfg.Backend = ""
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
@@ -65,9 +64,6 @@ func TrainWorker(cfg WorkerConfig) (*Result, error) {
 		// handing each the previous one's checkpoint (weights + velocity).
 		return nil, errors.New("runtime: hot-join is not supported in worker mode (the coordinator runs one process generation per membership)")
 	}
-	if cfg.Backend != "" && cfg.Backend != BackendWorker {
-		return nil, fmt.Errorf("runtime: worker mode cannot run backend %q", cfg.Backend)
-	}
 	if cfg.Ring == nil {
 		return nil, errors.New("runtime: worker mode needs a ring")
 	}
@@ -78,166 +74,107 @@ func TrainWorker(cfg WorkerConfig) (*Result, error) {
 	if cfg.Rank < 0 || cfg.Rank >= n {
 		return nil, fmt.Errorf("runtime: rank %d of %d", cfg.Rank, n)
 	}
-	if cfg.KernelShards > 0 {
-		tensor.SetParallelism(cfg.KernelShards)
-	}
-
-	globalBatch := 0
-	for _, b := range cfg.LocalBatches {
-		globalBatch += b
-	}
-	res := &Result{Backend: BackendWorker, Workers: n, GlobalBatch: globalBatch}
-
-	loader := data.NewHeteroLoader(cfg.Dataset, cfg.Src)
-
-	// Every replica of a Train run ends initialization holding rank 0's
-	// weights (the ring broadcast); a worker reproduces that state directly
-	// from the shared source.
-	net := nn.NewMLP(cfg.Sizes, cfg.Src.Split("init-0"))
-	if cfg.InitWeights != nil {
-		if want := net.NumParams(); len(cfg.InitWeights) != want {
-			return nil, fmt.Errorf("runtime: init weights dim %d, want %d", len(cfg.InitWeights), want)
-		}
-		net.SetFlatWeights(cfg.InitWeights)
-	}
-	opt := nn.NewSGD(cfg.Momentum, 0)
-	params := net.Params()
-	if cfg.InitVelocity != nil {
-		if err := opt.SetFlatVelocity(params, cfg.InitVelocity); err != nil {
-			return nil, fmt.Errorf("runtime: %w", err)
-		}
-	}
-	dim := net.NumParams()
-	// Every process must derive the identical partition from the shared
-	// Config alone — bucketLenFor depends only on (BucketBytes, dim, n) and
-	// bucketAlgorithms only on the shared algorithm fields.
-	bucketLen := bucketLenFor(cfg.BucketBytes, dim, n)
-	algs, err := bucketAlgorithms(cfg.Allreduce, cfg.LinkAlpha, cfg.LinkBeta, dim, bucketLen, n)
-	if err != nil {
-		return nil, err
-	}
-
-	rank := cfg.Rank
-	opts := allreduce.Options{Guard: cfg.Guard, Policy: cfg.Policy}
-	grad := make([]float64, dim)    // raw local gradient (|g_i|²)
-	commBuf := make([]float64, dim) // weight-scaled, then globally reduced
-	normBuf := make([]float64, n)   // one-hot |g_i|² exchange
-	batches := make([]int, n)
-	var dlogits *tensor.T
-
-	tracker := gns.NewTracker(0.1)
-	estimator := gns.NewEstimator(cfg.NaiveGNS)
-	localBatches := append([]int(nil), cfg.LocalBatches...)
-	weights := make([]float64, n)
-	for i, b := range localBatches {
-		weights[i] = float64(b) / float64(globalBatch)
-	}
-	partialWeights := make([]float64, n)
-	baseBatch := globalBatch
-	lr := cfg.LearningRate
-
-	fullX, fullLabels := cfg.Dataset.Batch(identity(cfg.Dataset.Len()))
-
-	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		if cfg.GrowthEpoch > 0 && epoch == cfg.GrowthEpoch && epoch > 0 {
-			for i := range localBatches {
-				localBatches[i] *= 2
-			}
-			globalBatch *= 2
-			for i, b := range localBatches {
-				weights[i] = float64(b) / float64(globalBatch)
-			}
-			if cfg.Scaler != nil {
-				lr = cfg.Scaler.Scale(cfg.LearningRate, globalBatch, baseBatch, tracker.Noise())
-			}
-		}
-		stepsPerEpoch := cfg.Dataset.Len() / globalBatch
-		if stepsPerEpoch < 1 {
-			stepsPerEpoch = 1
-		}
-		for s := 0; s < stepsPerEpoch; s++ {
-			// Draw every rank's shard to keep the loader's randomness stream
-			// identical to the single-process run; train only on our own.
-			xs, labels, err := loader.NextGlobalBatch(localBatches)
-			if err != nil {
-				return nil, err
-			}
-			got := 0
-			for _, x := range xs {
-				got += x.Rows()
-			}
-			stepWeights := weights
-			if got != globalBatch {
-				stepWeights = partialWeights
-				for i, x := range xs {
-					stepWeights[i] = float64(x.Rows()) / float64(got)
-				}
-			}
-
-			net.ZeroGrad()
-			logits := net.Forward(xs[rank])
-			dlogits = tensor.Reuse(dlogits, logits.Rows(), logits.Cols())
-			nn.SoftmaxCrossEntropyInto(dlogits, logits, labels[rank])
-			net.Backward(dlogits)
-			net.FlatGradsInto(grad)
-			localSq := sqNorm(grad)
-
-			// Eq. 9 pre-scale, then the bucketed ring reduce — the identical
-			// per-bucket summation order to both in-process engines.
-			w := stepWeights[rank]
-			for j, g := range grad {
-				commBuf[j] = g * w
-			}
-			for k, lo := 0, 0; lo < dim; k, lo = k+1, lo+bucketLen {
-				hi := lo + bucketLen
-				if hi > dim {
-					hi = dim
-				}
-				o := opts
-				o.Algorithm = algs[k]
-				if err := cfg.Ring.ReduceWith(rank, commBuf[lo:hi], o); err != nil {
-					return nil, err
-				}
-			}
-			globalSq := sqNorm(commBuf)
-
-			// Replicate every rank's |g_i|² exactly: each rank contributes a
-			// one-hot vector and zeros add exactly.
-			for i := range normBuf {
-				normBuf[i] = 0
-			}
-			normBuf[rank] = localSq
-			if err := cfg.Ring.ReduceWith(rank, normBuf, opts); err != nil {
-				return nil, err
-			}
-
-			net.SetFlatGrads(commBuf)
-			opt.Step(params, lr)
-
-			if n >= 2 {
-				for i, x := range xs {
-					batches[i] = x.Rows()
-				}
-				sample := gns.Sample{Batches: batches, LocalSqNorms: normBuf, GlobalSqNorm: globalSq}
-				if est, gerr := estimator.Estimate(sample); gerr == nil {
-					tracker.Observe(est)
-				}
-			}
-			res.Steps++
-		}
-		logits := net.Forward(fullX)
-		loss, _ := nn.SoftmaxCrossEntropy(logits, fullLabels)
-		res.EpochLoss = append(res.EpochLoss, loss)
-		res.EpochAccuracy = append(res.EpochAccuracy, nn.Accuracy(logits, fullLabels))
-		res.NoiseEstimate = append(res.NoiseEstimate, tracker.Noise())
-		res.BatchSchedule = append(res.BatchSchedule, globalBatch)
-		res.LRSchedule = append(res.LRSchedule, lr)
-	}
-	res.FinalAccuracy = res.EpochAccuracy[len(res.EpochAccuracy)-1]
-	res.FinalWeights = net.FlatWeights()
-	res.FinalVelocity = opt.FlatVelocity(params)
-	return res, nil
+	return train(cfg.Config, &cfg)
 }
+
+// workerExec is the rank-local executor of a multi-process run: it holds
+// only this process's replica and reduces over the caller's ring, whose
+// other ranks are other processes running the same driver.
+type workerExec struct {
+	rank      int
+	ring      *allreduce.Ring
+	ringOpts  allreduce.Options // Guard and Policy; Algorithm is per bucket
+	net       *nn.Network
+	opt       *nn.SGD
+	params    []*nn.Param
+	bucketLen int
+	algs      []allreduce.Algorithm
+	// commBuf holds the raw local gradient, then the weight-scaled one,
+	// then the reduced global one; normBuf is the one-hot |g_i|² exchange.
+	commBuf []float64
+	normBuf []float64
+	batches []int
+	dlogits *tensor.T
+}
+
+func newWorkerExec(wk *WorkerConfig, net *nn.Network, opt *nn.SGD, bucketLen int, algs []allreduce.Algorithm) *workerExec {
+	n := len(wk.LocalBatches)
+	return &workerExec{
+		rank:      wk.Rank,
+		ring:      wk.Ring,
+		ringOpts:  allreduce.Options{Guard: wk.Guard, Policy: wk.Policy},
+		net:       net,
+		opt:       opt,
+		params:    net.Params(),
+		bucketLen: bucketLen,
+		algs:      algs,
+		commBuf:   make([]float64, net.NumParams()),
+		normBuf:   make([]float64, n),
+		batches:   make([]int, n),
+	}
+}
+
+// step trains this rank's shard and reduces its gradient with every other
+// rank. Cross-rank GNS state is replicated exactly by ring-reducing each
+// rank's one-hot |g_i|² vector: adding zeros is exact in floating point,
+// so every process observes identical norms and follows the identical
+// learning-rate schedule. The sample aliases exec-owned buffers valid
+// until the next step call.
+func (e *workerExec) step(epoch, step int, xs []*tensor.T, labels [][]int, stepWeights []float64, lr float64) (gns.Sample, error) {
+	rank := e.rank
+	e.net.ZeroGrad()
+	logits := e.net.Forward(xs[rank])
+	e.dlogits = tensor.Reuse(e.dlogits, logits.Rows(), logits.Cols())
+	nn.SoftmaxCrossEntropyInto(e.dlogits, logits, labels[rank])
+	e.net.Backward(e.dlogits)
+	e.net.FlatGradsInto(e.commBuf)
+	localSq := sqNorm(e.commBuf)
+
+	// Eq. 9 pre-scale, then the bucketed ring reduce — the identical
+	// per-bucket summation order to both in-process engines.
+	w := stepWeights[rank]
+	for j := range e.commBuf {
+		e.commBuf[j] *= w
+	}
+	dim := len(e.commBuf)
+	for k, lo := 0, 0; lo < dim; k, lo = k+1, lo+e.bucketLen {
+		hi := lo + e.bucketLen
+		if hi > dim {
+			hi = dim
+		}
+		o := e.ringOpts
+		o.Algorithm = e.algs[k]
+		if err := e.ring.ReduceWith(rank, e.commBuf[lo:hi], o); err != nil {
+			return gns.Sample{}, err
+		}
+	}
+	globalSq := sqNorm(e.commBuf)
+
+	for i := range e.normBuf {
+		e.normBuf[i] = 0
+	}
+	e.normBuf[rank] = localSq
+	if err := e.ring.ReduceWith(rank, e.normBuf, e.ringOpts); err != nil {
+		return gns.Sample{}, err
+	}
+
+	e.net.SetFlatGrads(e.commBuf)
+	e.opt.Step(e.params, lr)
+	for i, x := range xs {
+		e.batches[i] = x.Rows()
+	}
+	return gns.Sample{Batches: e.batches, LocalSqNorms: e.normBuf, GlobalSqNorm: globalSq}, nil
+}
+
+func (e *workerExec) network() *nn.Network { return e.net }
+
+// finalWeights returns the local replica's weights; cross-rank agreement
+// is the coordinator's check (every rank prints its weight hash).
+func (e *workerExec) finalWeights() ([]float64, error) { return e.net.FlatWeights(), nil }
+
+func (e *workerExec) profile() *Profile { return nil }
+
+func (e *workerExec) close() {}
 
 // Adaptive bucket sizing (BucketBytes <= 0). A bucket costs 2(n-1) ring
 // hops regardless of its size, so small models want few large buckets —

@@ -2,9 +2,7 @@ package server
 
 import (
 	"context"
-	"crypto/sha256"
 	"fmt"
-	"math"
 	"time"
 
 	"cannikin"
@@ -24,31 +22,21 @@ type TrainRunner struct{}
 
 // Run implements jobs.Runner.
 func (TrainRunner) Run(ctx context.Context, spec *runspec.Spec, onEpoch func(jobs.Epoch) error) (*jobs.Outcome, error) {
+	if err := servable(spec); err != nil {
+		return nil, err
+	}
 	if spec.MLP {
 		return runMLPJob(ctx, spec, onEpoch)
 	}
 	return runSimJob(ctx, spec, onEpoch)
 }
 
-// runMLPJob mirrors the cannikin command's spec lowering for -mlp runs.
+// runMLPJob lowers the spec through the library's shared spec lowering —
+// the same one the cannikin command uses — and trains it.
 func runMLPJob(ctx context.Context, spec *runspec.Spec, onEpoch func(jobs.Epoch) error) (*jobs.Outcome, error) {
-	if spec.Transport == runspec.TransportTCP {
-		return nil, fmt.Errorf("server: tcp transport jobs are not supported (the service runs workers in-process)")
-	}
-	cfg := cannikin.MLPConfig{
-		LocalBatches: spec.MLPBatches,
-		Backend:      spec.Backend,
-		CommMode:     spec.CommMode,
-		Seed:         spec.Seed,
-		BucketBytes:  spec.BucketBytes,
-		KernelShards: spec.KernelShards,
-		Allreduce:    spec.Allreduce,
-		LinkAlpha:    spec.LinkAlpha,
-		LinkBeta:     spec.LinkBeta,
-		Fault:        faultsToConfig(spec.Faults, spec.FaultReplan),
-	}
-	if spec.Epochs > 0 {
-		cfg.Epochs = spec.Epochs
+	cfg, err := cannikin.MLPConfigFromSpec(spec)
+	if err != nil {
+		return nil, err
 	}
 	start := time.Now()
 	cfg.OnEpoch = func(e cannikin.MLPEpoch) error {
@@ -75,25 +63,10 @@ func runMLPJob(ctx context.Context, spec *runspec.Spec, onEpoch func(jobs.Epoch)
 	}, nil
 }
 
-// runSimJob mirrors the cannikin command's spec lowering for simulated
-// cluster runs.
+// runSimJob runs a simulated-cluster spec through the library's shared
+// spec lowering.
 func runSimJob(ctx context.Context, spec *runspec.Spec, onEpoch func(jobs.Epoch) error) (*jobs.Outcome, error) {
-	cfg := cannikin.TrainConfig{
-		Workload:   spec.Workload,
-		System:     cannikin.SystemKind(spec.System),
-		Seed:       spec.Seed,
-		MaxEpochs:  spec.Epochs,
-		FixedBatch: spec.Batch,
-		Audit:      cannikin.AuditLevel(spec.Audit),
-	}
-	if len(spec.Models) > 0 {
-		cfg.Cluster = cannikin.ClusterConfig{Models: spec.Models}
-	} else {
-		cfg.Cluster = cannikin.ClusterConfig{Preset: spec.Cluster}
-	}
-	if spec.Chaos > 0 {
-		cfg.Chaos = cannikin.ChaosConfig{Churn: spec.Chaos}
-	}
+	cfg := cannikin.TrainConfigFromSpec(spec)
 	cfg.OnEpoch = func(e cannikin.EpochReport) error {
 		return onEpoch(jobs.Epoch{
 			Epoch:   e.Epoch,
@@ -117,43 +90,19 @@ func runSimJob(ctx context.Context, spec *runspec.Spec, onEpoch func(jobs.Epoch)
 	return out, nil
 }
 
-// WeightsHash fingerprints a trained weight vector: sha256 over the
-// IEEE-754 bit patterns, little-endian. Identical to the cannikin
-// command's fingerprint, so server outcomes and CLI runs are directly
-// comparable.
-func WeightsHash(weights []float64) string {
-	h := sha256.New()
-	var word [8]byte
-	for _, v := range weights {
-		bits := math.Float64bits(v)
-		for i := 0; i < 8; i++ {
-			word[i] = byte(bits >> (8 * i))
-		}
-		h.Write(word[:])
-	}
-	return fmt.Sprintf("%x", h.Sum(nil))
-}
+// WeightsHash is cannikin.WeightsHash, the library's weight fingerprint,
+// so server outcomes and CLI runs are directly comparable.
+func WeightsHash(weights []float64) string { return cannikin.WeightsHash(weights) }
 
-// faultsToConfig converts runspec fault events to the public fault config;
-// nil when no events and no replan policy are present.
-func faultsToConfig(events []runspec.Fault, replan string) *cannikin.FaultConfig {
-	if len(events) == 0 && replan == "" {
-		return nil
+// servable rejects specs the service must not run as given: multi-process
+// tcp jobs (the service runs workers in-process) and checkpoint paths,
+// which would have the service read or write files named in a request.
+func servable(spec *runspec.Spec) error {
+	if spec.Transport == runspec.TransportTCP {
+		return fmt.Errorf("%w: transport \"tcp\" jobs are not supported: the service runs workers in-process", jobs.ErrBadSpec)
 	}
-	cfg := &cannikin.FaultConfig{Replan: replan}
-	for _, f := range events {
-		ev := cannikin.FaultEvent{Step: f.Step, Worker: f.Worker, Delay: f.Delay, Count: f.Count}
-		switch f.Kind {
-		case "kill":
-			ev.Kind = cannikin.FaultKillWorker
-		case "stall":
-			ev.Kind = cannikin.FaultStallCompute
-		case "delay":
-			ev.Kind = cannikin.FaultDelayMsg
-		case "drop":
-			ev.Kind = cannikin.FaultDropMsg
-		}
-		cfg.Events = append(cfg.Events, ev)
+	if spec.CheckpointIn != "" || spec.CheckpointOut != "" {
+		return fmt.Errorf("%w: checkpoint_in/checkpoint_out are not accepted: the service does not open paths named in a job spec", jobs.ErrBadSpec)
 	}
-	return cfg
+	return nil
 }

@@ -131,10 +131,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
 		return
 	}
-	if spec.Transport == runspec.TransportTCP {
-		writeJSON(w, http.StatusBadRequest, errorBody{
-			Error: "transport \"tcp\" jobs are not supported: the service runs workers in-process",
-		})
+	if err := servable(spec); err != nil {
+		s.writeError(w, err)
 		return
 	}
 	id, err := s.sched.Submit(spec)

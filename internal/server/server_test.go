@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -444,5 +445,65 @@ func TestSimJobThroughService(t *testing.T) {
 	}
 	if got.Epochs[0].Metric == 0 && got.Epochs[0].Batch == 0 {
 		t.Fatalf("sim epoch not populated: %+v", got.Epochs[0])
+	}
+}
+
+// TestJoinSpecMatchesLibrary: a job's elastic fields reach the training
+// run. The service lowers specs through the library's shared lowering, so
+// a spec with a scheduled hot-join reports the same weights as a direct
+// TrainMLP run with that join — and not the no-join weights.
+func TestJoinSpecMatchesLibrary(t *testing.T) {
+	ref := cannikin.MLPConfig{LocalBatches: []int{8, 4}, Epochs: 2, Seed: 1}
+	plain, err := cannikin.TrainMLP(ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref.Joins = []cannikin.JoinSpec{{Epoch: 1, Batch: 8}}
+	joined, err := cannikin.TrainMLP(ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantHash := WeightsHash(joined.FinalWeights)
+	if wantHash == WeightsHash(plain.FinalWeights) {
+		t.Fatal("the join does not change the weights; the test cannot tell a dropped join")
+	}
+
+	_, ts := newTestServer(t, Config{Pool: jobs.PoolConfig{Devices: 4, Seed: 1}})
+	resp, st := postSpec(t, ts, `{"mlp": true, "mlp_batches": [8, 4], "epochs": 2, "seed": 1, "backend": "sim",
+		"joins": [{"epoch": 1, "batch": 8}]}`)
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("submit = %d (%s)", resp.StatusCode, st.Error)
+	}
+	got := waitDone(t, ts, st.ID)
+	if got.State != jobs.StateDone {
+		t.Fatalf("join job = %s (err %q)", got.State, got.Error)
+	}
+	if got.Outcome == nil || got.Outcome.WeightsSHA256 != wantHash {
+		t.Fatalf("join job weights %+v, want the direct join run's %s", got.Outcome, wantHash)
+	}
+	if got.Outcome.Steps != joined.Steps {
+		t.Fatalf("join job ran %d steps, direct join run %d", got.Outcome.Steps, joined.Steps)
+	}
+}
+
+// TestSubmitRejectsCheckpointPaths: the service never opens a file named
+// in a request body, so specs carrying checkpoint paths are bad specs
+// (400), and the runner refuses them too when driven without HTTP.
+func TestSubmitRejectsCheckpointPaths(t *testing.T) {
+	_, ts := newTestServer(t, Config{Pool: jobs.PoolConfig{Devices: 4, Seed: 1}})
+	for _, body := range []string{
+		`{"mlp": true, "mlp_batches": [4, 4], "checkpoint_in": "/etc/hostname"}`,
+		`{"mlp": true, "mlp_batches": [4, 4], "checkpoint_out": "weights.json"}`,
+	} {
+		resp, st := postSpec(t, ts, body)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(st.Error, "checkpoint") {
+			t.Errorf("%s: code = %d (%q), want 400 naming the checkpoint field", body, resp.StatusCode, st.Error)
+		}
+	}
+	spec := runspec.Default()
+	spec.MLP = true
+	spec.CheckpointIn = "ckpt.json"
+	if _, err := (TrainRunner{}).Run(context.Background(), spec, func(jobs.Epoch) error { return nil }); !errors.Is(err, jobs.ErrBadSpec) {
+		t.Fatalf("runner err = %v, want ErrBadSpec", err)
 	}
 }

@@ -13,6 +13,12 @@ go build ./...
 echo "== go vet =="
 go vet ./...
 
+# perfbench is its own module (replace cannikin => ../), so ./... above
+# skips it; vet and self-test it here so a change to any symbol it imports
+# breaks CI rather than the benchmark run.
+echo "== perfbench module: vet + self-tests =="
+(cd perfbench && go vet . && go test .)
+
 echo "== go test -race =="
 go test -race ./...
 

@@ -53,11 +53,14 @@ type RingStats struct {
 // sequence, and the common initial weights deterministically, and the ring
 // fixes the gradient summation order — so the trained weights are
 // bitwise-identical on every rank, and bitwise-identical to a
-// single-process TrainMLP run of the same config.
+// single-process TrainMLP run of the same config. The rank runs the same
+// training driver as TrainMLP, so evaluation, GrowthEpoch and OnEpoch
+// behave identically: every rank streams the epochs TrainMLP would.
 //
-// Fault injection (MLPConfig.Fault) and growth-free recovery are
+// Fault injection (MLPConfig.Fault) and hot-join (Joins, Autoscale) are
 // unsupported in worker mode: a dead peer fails the run with a ring fault
-// naming the suspect.
+// naming the suspect, and a join is a new process generation resumed from
+// a checkpoint.
 func TrainMLPWorker(cfg MLPConfig, ring WorkerRingConfig) (*MLPResult, *RingStats, error) {
 	if cfg.Fault != nil {
 		return nil, nil, errors.New("cannikin: fault injection is not supported in worker mode")
@@ -78,7 +81,6 @@ func TrainMLPWorker(cfg MLPConfig, ring WorkerRingConfig) (*MLPResult, *RingStat
 	if err != nil {
 		return nil, nil, err
 	}
-	rc.Backend = ""
 
 	tcpCfg := allreduce.TCPConfig{
 		Rank:        ring.Rank,
