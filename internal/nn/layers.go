@@ -15,7 +15,9 @@
 // callers needing longer-lived values must copy. The arithmetic — down to
 // summation order and the kernels' exact-zero skip — is unchanged from the
 // original allocating implementation, so training trajectories are bitwise
-// identical.
+// identical. Network.Backward skips only work nobody reads: the first
+// layer's input gradient is never formed, which leaves every parameter
+// gradient bit in place.
 package nn
 
 import (
@@ -88,6 +90,16 @@ func (l *Linear) Forward(x *tensor.T) *tensor.T {
 // copies — with the products formed in scratch and then added, so repeated
 // Backward calls accumulate exactly like the original implementation.
 func (l *Linear) Backward(dout *tensor.T) *tensor.T {
+	l.backwardParams(dout)
+	l.dx = tensor.Reuse(l.dx, dout.Rows(), l.w.W.Rows())
+	tensor.MulBTInto(l.dx, dout, l.w.W)
+	return l.dx
+}
+
+// backwardParams is Backward without the input gradient: it accumulates
+// dW and db only. Network uses it for its first layer, whose dx has no
+// reader.
+func (l *Linear) backwardParams(dout *tensor.T) {
 	if l.x == nil {
 		panic("nn: Linear.Backward before Forward")
 	}
@@ -114,10 +126,6 @@ func (l *Linear) Backward(dout *tensor.T) *tensor.T {
 	for j := range row {
 		row[j] += bg[j]
 	}
-
-	l.dx = tensor.Reuse(l.dx, dout.Rows(), in)
-	tensor.MulBTInto(l.dx, dout, l.w.W)
-	return l.dx
 }
 
 // Params returns the layer's weight and bias.
@@ -260,7 +268,8 @@ func (n *Network) Forward(x *tensor.T) *tensor.T {
 }
 
 // Backward propagates the loss gradient through the stack, accumulating
-// parameter gradients.
+// parameter gradients. The first layer's input gradient is never formed
+// (see BackwardLayerwise).
 func (n *Network) Backward(dout *tensor.T) {
 	n.BackwardLayerwise(dout, nil)
 }
@@ -273,6 +282,10 @@ func (n *Network) Backward(dout *tensor.T) {
 // NumParams() to 0, which is exactly what a bucketed all-reduce needs to
 // launch high-offset buckets while earlier layers are still computing.
 // onReady may be nil.
+//
+// The first layer's input gradient has no reader, so a first layer that
+// can skip it (a Linear: dout·Wᵀ is a third of its backward work) only
+// accumulates its parameter gradients.
 func (n *Network) BackwardLayerwise(dout *tensor.T, onReady func(frontier int)) {
 	var offsets []int
 	if onReady != nil {
@@ -280,7 +293,11 @@ func (n *Network) BackwardLayerwise(dout *tensor.T, onReady func(frontier int)) 
 		offsets = n.offsets
 	}
 	for i := len(n.layers) - 1; i >= 0; i-- {
-		dout = n.layers[i].Backward(dout)
+		if l, ok := n.layers[i].(*Linear); ok && i == 0 {
+			l.backwardParams(dout)
+		} else {
+			dout = n.layers[i].Backward(dout)
+		}
 		if onReady != nil {
 			onReady(offsets[i])
 		}

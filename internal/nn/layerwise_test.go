@@ -91,3 +91,45 @@ func TestBackwardLayerwiseFrontierGradsFinal(t *testing.T) {
 		}
 	})
 }
+
+// TestBackwardSkipsFirstInputGradientBitwise: Network.Backward stops
+// forming dout·Wᵀ at layer 0, which must not move a parameter-gradient bit
+// against a reference loop that calls every layer's Backward, layer 0
+// included. A direct Linear.Backward still returns dout·Wᵀ.
+func TestBackwardSkipsFirstInputGradientBitwise(t *testing.T) {
+	sizes := []int{7, 16, 9, 4}
+	net := NewMLP(sizes, rng.New(4))
+	ref := NewMLP(sizes, rng.New(4))
+	x := tensor.Randn(10, 7, 1, rng.New(5))
+	labels := []int{0, 1, 2, 3, 0, 1, 2, 3, 0, 1}
+
+	_, dout := SoftmaxCrossEntropy(net.Forward(x), labels)
+	net.Backward(dout)
+
+	_, d := SoftmaxCrossEntropy(ref.Forward(x), labels)
+	for i := len(ref.layers) - 1; i >= 0; i-- {
+		d = ref.layers[i].Backward(d)
+	}
+	if net.layers[0].(*Linear).dx != nil {
+		t.Fatal("Network.Backward formed the first layer's input gradient")
+	}
+	got, want := net.FlatGrads(), ref.FlatGrads()
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("grad %d: %v, reference %v", i, got[i], want[i])
+		}
+	}
+
+	// d is the reference's layer-0 dx; it must be dout₀·W₀ᵀ exactly.
+	first := ref.layers[0].(*Linear)
+	dout0 := ref.layers[1].(*ReLU).dx
+	if d.Rows() != x.Rows() || d.Cols() != sizes[0] {
+		t.Fatalf("Linear.Backward dx shape %dx%d, want %dx%d", d.Rows(), d.Cols(), x.Rows(), sizes[0])
+	}
+	wantDx := dout0.MatMul(first.w.W.Transpose())
+	for i, v := range wantDx.Data() {
+		if d.Data()[i] != v {
+			t.Fatalf("Linear.Backward dx element %d: %v, want %v", i, d.Data()[i], v)
+		}
+	}
+}

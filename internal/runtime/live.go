@@ -393,8 +393,6 @@ func (e *liveExec) stepGuarded(epoch, step int, xs []*tensor.T, labels [][]int, 
 	return sample, records, nil, nil
 }
 
-func (e *liveExec) network() *nn.Network { return e.workers[0].net }
-
 func (e *liveExec) finalWeights() ([]float64, error) {
 	ref := e.workers[0].net.FlatWeights()
 	for i := 1; i < len(e.workers); i++ {

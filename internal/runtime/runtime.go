@@ -294,12 +294,12 @@ type Result struct {
 
 // executor is one execution engine driven by the shared training loop.
 // step runs one synchronized step over the pre-drawn shards and returns
-// the GNS norm observations from the real gradients.
+// the GNS norm observations from the real gradients. The driver owns the
+// replicas the executor trains; between step calls no executor goroutine
+// touches them, and the driver evaluates on all of them concurrently
+// (evaluator.run).
 type executor interface {
 	step(epoch, step int, xs []*tensor.T, labels [][]int, stepWeights []float64, lr float64) (gns.Sample, error)
-	// network returns replica 0 for full-dataset evaluation. Only valid
-	// between steps (the driver is the only goroutine active then).
-	network() *nn.Network
 	// finalWeights checks replica consistency and returns the weights.
 	finalWeights() ([]float64, error)
 	profile() *Profile
@@ -504,7 +504,7 @@ func runIncarnation(cfg *Config, inc *incarnation, res *Result, backend string, 
 	// partial batch (whose shard sizes differ from the plan).
 	partialWeights := make([]float64, nWorkers)
 
-	fullX, fullLabels := cfg.Dataset.Batch(identity(cfg.Dataset.Len()))
+	eval := newEvaluator(cfg.Dataset.X, cfg.Dataset.Labels, cfg.Sizes[len(cfg.Sizes)-1])
 
 	localBatches := inc.localBatches
 	baseBatch := globalBatch
@@ -611,9 +611,7 @@ func runIncarnation(cfg *Config, inc *incarnation, res *Result, backend string, 
 			}
 			res.Steps++
 		}
-		logits := exec.network().Forward(fullX)
-		loss, _ := nn.SoftmaxCrossEntropy(logits, fullLabels)
-		acc := nn.Accuracy(logits, fullLabels)
+		loss, acc := eval.run(replicas)
 		res.EpochLoss = append(res.EpochLoss, loss)
 		res.EpochAccuracy = append(res.EpochAccuracy, acc)
 		res.NoiseEstimate = append(res.NoiseEstimate, tracker.Noise())

@@ -95,8 +95,6 @@ func (e *seqExec) step(epoch, step int, xs []*tensor.T, labels [][]int, stepWeig
 	return sample, nil
 }
 
-func (e *seqExec) network() *nn.Network { return e.replicas[0] }
-
 func (e *seqExec) finalWeights() ([]float64, error) {
 	ref := e.replicas[0].FlatWeights()
 	for i := 1; i < len(e.replicas); i++ {

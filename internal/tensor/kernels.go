@@ -120,13 +120,39 @@ func MulBTInto(dst, a, b *T) {
 	dispatch(opMulBT, dst, a, b, a.rows, 2*a.rows*a.cols*b.rows)
 }
 
-// mulBTRange computes dst rows [lo, hi) of dst = a·bᵀ.
+// mulBTRange computes dst rows [lo, hi) of dst = a·bᵀ, register-blocked
+// four output columns per pass over the a row. Each column keeps its own
+// accumulator running over k in ascending order behind the shared
+// exact-zero skip, so every output element sees the identical sequence of
+// additions as a one-column dot product — no bit moves. The blocking only
+// turns one latency-bound add chain into four independent ones and lets
+// each unpredictable zero-skip branch guard four multiply-adds.
 func mulBTRange(dst, a, b *T, lo, hi int) {
 	k, c := a.cols, b.rows
 	for i := lo; i < hi; i++ {
 		arow := a.data[i*k : (i+1)*k]
 		orow := dst.data[i*c : (i+1)*c]
-		for j := 0; j < c; j++ {
+		j := 0
+		for ; j+4 <= c; j += 4 {
+			b0 := b.data[j*k : (j+1)*k]
+			b1 := b.data[(j+1)*k : (j+2)*k]
+			b2 := b.data[(j+2)*k : (j+3)*k]
+			b3 := b.data[(j+3)*k : (j+4)*k]
+			// Equal lengths let the compiler drop the bounds checks below.
+			b0, b1, b2, b3 = b0[:len(arow)], b1[:len(arow)], b2[:len(arow)], b3[:len(arow)]
+			var s0, s1, s2, s3 float64
+			for kk, av := range arow {
+				if av == 0 {
+					continue
+				}
+				s0 += av * b0[kk]
+				s1 += av * b1[kk]
+				s2 += av * b2[kk]
+				s3 += av * b3[kk]
+			}
+			orow[j], orow[j+1], orow[j+2], orow[j+3] = s0, s1, s2, s3
+		}
+		for ; j < c; j++ {
 			brow := b.data[j*k : (j+1)*k]
 			s := 0.0
 			for kk, av := range arow {

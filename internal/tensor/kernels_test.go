@@ -110,6 +110,45 @@ func TestKernelsMatchNaiveReference(t *testing.T) {
 	}
 }
 
+// reluSparsify zeroes every negative element, the way a ReLU mask leaves
+// about half of a backward gradient exactly zero.
+func reluSparsify(t *T) {
+	for i, v := range t.data {
+		if v < 0 {
+			t.data[i] = 0
+		}
+	}
+}
+
+// TestMulBTBlockedMatchesNaive pins the register-blocked MulBT: four
+// output columns per pass must leave every element's addition sequence
+// untouched. The shapes cover output widths below the block (c < 4), every
+// remainder c mod 4, and inner dimensions past kernelBlockK, at ReLU-like
+// 50% sparsity so the shared zero-skip branch is taken often.
+func TestMulBTBlockedMatchesNaive(t *testing.T) {
+	src := rng.New(17)
+	for _, sh := range []struct{ n, k, c int }{
+		{4, 9, 1},
+		{4, 9, 2},
+		{4, 9, 3},
+		{3, 16, 4},
+		{5, 33, 5},
+		{6, 64, 6},
+		{7, 17, 7},
+		{48, 128, 256},
+		{12, 256, 128},
+		{3, kernelBlockK + 45, 9},
+		{2, 2*kernelBlockK + 1, 11},
+	} {
+		dout := Randn(sh.n, sh.c, 1, src)
+		w := Randn(sh.k, sh.c, 1, src)
+		reluSparsify(dout)
+		got := New(sh.n, sh.k)
+		MulBTInto(got, dout, w)
+		assertBitwiseEqual(t, fmt.Sprintf("MulBTInto %v", sh), got, naiveMatMul(dout, w.Transpose()))
+	}
+}
+
 // TestParallelKernelsBitwiseEqualSerial is the determinism property test:
 // for every shape (including row counts that do not divide evenly across
 // the shards) and every pool size, the parallel kernels must produce the
@@ -232,16 +271,20 @@ func TestKernelShapePanics(t *testing.T) {
 	}
 }
 
+// benchShapes are the kernel benchmarks' (n, k, c) shapes: the MLP layer
+// sizes the runtime benchmarks train, plus one square case.
+var benchShapes = []struct{ n, k, c int }{
+	{64, 32, 256},
+	{64, 256, 128},
+	{64, 128, 8},
+	{256, 256, 256},
+}
+
 // BenchmarkMatMul spans the MLP layer shapes: forward activations
 // (batch×in · in×out) at the sizes the runtime benchmarks train.
 func BenchmarkMatMul(b *testing.B) {
 	src := rng.New(1)
-	for _, sh := range []struct{ n, k, c int }{
-		{64, 32, 256},
-		{64, 256, 128},
-		{64, 128, 8},
-		{256, 256, 256},
-	} {
+	for _, sh := range benchShapes {
 		x := Randn(sh.n, sh.k, 1, src)
 		w := Randn(sh.k, sh.c, 1, src)
 		out := New(sh.n, sh.c)
@@ -250,6 +293,45 @@ func BenchmarkMatMul(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				MatMulInto(out, x, w)
+			}
+		})
+	}
+}
+
+// BenchmarkMulBT is the Linear dx kernel dout·Wᵀ at BenchmarkMatMul's
+// shapes (dx is n×k from dout n×c and W k×c), with a ReLU-sparse dout as
+// backprop produces it.
+func BenchmarkMulBT(b *testing.B) {
+	src := rng.New(1)
+	for _, sh := range benchShapes {
+		dout := Randn(sh.n, sh.c, 1, src)
+		reluSparsify(dout)
+		w := Randn(sh.k, sh.c, 1, src)
+		dx := New(sh.n, sh.k)
+		b.Run(fmt.Sprintf("n%dxk%dxc%d", sh.n, sh.k, sh.c), func(b *testing.B) {
+			b.SetBytes(int64(8 * (sh.n*sh.k + sh.k*sh.c + sh.n*sh.c)))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				MulBTInto(dx, dout, w)
+			}
+		})
+	}
+}
+
+// BenchmarkAddMulAT is the Linear dW kernel xᵀ·dout at BenchmarkMatMul's
+// shapes (dW is k×c from x n×k and dout n×c), with a ReLU-sparse dout.
+func BenchmarkAddMulAT(b *testing.B) {
+	src := rng.New(1)
+	for _, sh := range benchShapes {
+		x := Randn(sh.n, sh.k, 1, src)
+		dout := Randn(sh.n, sh.c, 1, src)
+		reluSparsify(dout)
+		dw := New(sh.k, sh.c)
+		b.Run(fmt.Sprintf("n%dxk%dxc%d", sh.n, sh.k, sh.c), func(b *testing.B) {
+			b.SetBytes(int64(8 * (sh.n*sh.k + sh.k*sh.c + sh.n*sh.c)))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				AddMulATInto(dw, x, dout)
 			}
 		})
 	}

@@ -220,6 +220,16 @@ func (t *T) MaxAbs() float64 {
 	return m
 }
 
+// RowView returns rows [from, to) as a tensor sharing t's storage: no
+// copy, so writes through either are visible in both. Its capacity ends at
+// row to, so Reuse on the view never grows into the rows after it.
+func (t *T) RowView(from, to int) *T {
+	if from < 0 || to > t.rows || from >= to {
+		panic(fmt.Sprintf("tensor: RowView [%d, %d) of %d rows", from, to, t.rows))
+	}
+	return &T{rows: to - from, cols: t.cols, data: t.data[from*t.cols : to*t.cols : to*t.cols]}
+}
+
 // SliceRows returns a copy of rows [from, to).
 func (t *T) SliceRows(from, to int) *T {
 	if from < 0 || to > t.rows || from >= to {

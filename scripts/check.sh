@@ -49,9 +49,11 @@ go test -race -count=2 -cpu 1,2,4 -run 'Fault|Evict|Recovery|Guarded' ./internal
 # against real sockets, and the multi-process worker runtime layers the
 # deterministic training loop on top; run both transports' conformance
 # suite and the worker bitwise-parity tests under the race detector at
-# several GOMAXPROCS values.
-echo "== go test -race -cpu 1,2,4 (tcp transport + worker runtime) =="
-go test -race -count=1 -cpu 1,2,4 -run 'Transport|TCP|Worker' ./internal/allreduce ./internal/runtime
+# several GOMAXPROCS values. The per-epoch evaluation forwards chunks on
+# every replica concurrently, so its differential tests (chunked and
+# sharded == one full Forward, on every executor) run here too.
+echo "== go test -race -cpu 1,2,4 (tcp transport + worker runtime + sharded eval) =="
+go test -race -count=1 -cpu 1,2,4 -run 'Transport|TCP|Worker|Eval' ./internal/allreduce ./internal/runtime
 
 echo "== multi-process smoke: coordinator + worker processes over loopback tcp =="
 BIN="$(mktemp -d)"
