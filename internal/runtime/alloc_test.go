@@ -92,48 +92,56 @@ func TestLiveSteadyStateStepAllocsZero(t *testing.T) {
 }
 
 // TestGuardedSteadyStateStepAllocsZero extends the gate to the guarded
-// (fault-tolerant) path with an empty fault schedule: per-hop deadline
-// timers, the two-phase commit, and the driver's result collection must all
-// reuse their state. Before the timer/result hoisting this path allocated
-// several times per step (one runtime timer per guarded hop, a fresh
-// results+responded pair and a collection timer per step), which a long
-// fault-tolerant run pays as steady GC pressure.
+// (fault-tolerant) path with an empty fault schedule, in both comm modes:
+// per-hop deadline timers, the two-phase commit, and the driver's result
+// collection must all reuse their state. Before the timer/result hoisting
+// this path allocated several times per step (one runtime timer per guarded
+// hop, a fresh results+responded pair and a collection timer per step),
+// which a long fault-tolerant run pays as steady GC pressure.
 func TestGuardedSteadyStateStepAllocsZero(t *testing.T) {
-	const nWorkers, batch = 2, 64
-	sizes := []int{32, 128, 64, 8}
-	replicas, opts, xs, labels := allocTestWorkers(t, nWorkers, batch, sizes)
-
-	inj, err := faultinject.NewInjector(faultinject.Schedule{}, nWorkers)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ft := &faultTolerance{
-		inj:         inj,
-		policy:      allreduce.RetryPolicy{}.WithDefaults(),
-		stepTimeout: 2 * time.Second,
-	}
-	algs, err := bucketAlgorithms("", 0, 0, replicas[0].NumParams(), 1024, nWorkers)
-	if err != nil {
-		t.Fatal(err)
-	}
-	exec := newLiveExec(replicas, opts, 1024, algs, ft, false)
-	defer exec.close()
-	stepWeights := []float64{0.5, 0.5}
-
-	stepNo := 0
-	step := func() {
-		sample, records, fail, err := exec.stepGuarded(0, stepNo, xs, labels, stepWeights, 0.01)
-		if err != nil || fail != nil || len(records) != 0 {
-			t.Fatalf("guarded step: sample=%v records=%v fail=%v err=%v", sample, records, fail, err)
+	for _, merged := range []bool{false, true} {
+		mode := "overlap"
+		if merged {
+			mode = "merged"
 		}
-		stepNo++
-	}
-	for i := 0; i < 3; i++ {
-		step()
-	}
-	reserveProfile(exec, nWorkers*200)
+		t.Run(mode, func(t *testing.T) {
+			const nWorkers, batch = 2, 64
+			sizes := []int{32, 128, 64, 8}
+			replicas, opts, xs, labels := allocTestWorkers(t, nWorkers, batch, sizes)
 
-	if allocs := testing.AllocsPerRun(50, step); allocs != 0 {
-		t.Fatalf("steady-state guarded step allocates %v times, want 0", allocs)
+			inj, err := faultinject.NewInjector(faultinject.Schedule{}, nWorkers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ft := &faultTolerance{
+				inj:         inj,
+				policy:      allreduce.RetryPolicy{}.WithDefaults(),
+				stepTimeout: 2 * time.Second,
+			}
+			algs, err := bucketAlgorithms("", 0, 0, replicas[0].NumParams(), 1024, nWorkers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			exec := newLiveExec(replicas, opts, 1024, algs, ft, merged)
+			defer exec.close()
+			stepWeights := []float64{0.5, 0.5}
+
+			stepNo := 0
+			step := func() {
+				sample, err := exec.step(0, stepNo, xs, labels, stepWeights, 0.01)
+				if err != nil || len(ft.events) != 0 {
+					t.Fatalf("guarded step: sample=%v events=%v err=%v", sample, ft.events, err)
+				}
+				stepNo++
+			}
+			for i := 0; i < 3; i++ {
+				step()
+			}
+			reserveProfile(exec, nWorkers*200)
+
+			if allocs := testing.AllocsPerRun(50, step); allocs != 0 {
+				t.Fatalf("steady-state guarded step allocates %v times, want 0", allocs)
+			}
+		})
 	}
 }

@@ -408,16 +408,15 @@ func replanJoin(policy string, prof *Profile, current []int, joinBatch int, join
 // replica's weights AND optimizer velocity are bitwise-identical at the
 // last committed step, and returns both as an owned checkpoint. Any
 // divergence aborts the membership change before anything is mutated.
-func checkpointState(exec executor, replicas []*nn.Network, opts []*nn.SGD) (weights, velocity []float64, err error) {
-	ref, err := exec.finalWeights()
+func checkpointState(replicas []*nn.Network, opts []*nn.SGD) (weights, velocity []float64, err error) {
+	weights, err = replicaWeights(replicas)
 	if err != nil {
 		return nil, nil, err
 	}
-	weights = append([]float64(nil), ref...)
 	velocity = opts[0].FlatVelocity(replicas[0].Params())
 	for i := 1; i < len(opts); i++ {
-		if d := maxAbsDiff(velocity, opts[i].FlatVelocity(replicas[i].Params())); d != 0 {
-			return nil, nil, fmt.Errorf("runtime: replica %d optimizer state diverged by %g at membership change", i, d)
+		if err := divergence(velocity, opts[i].FlatVelocity(replicas[i].Params())); err != nil {
+			return nil, nil, fmt.Errorf("runtime: replica %d optimizer state diverged at membership change: %w", i, err)
 		}
 	}
 	return weights, velocity, nil
@@ -432,7 +431,7 @@ func growCluster(cfg *Config, inc *incarnation, res *Result, exec executor, repl
 	if j.Batch < 1 {
 		j.Batch = 1
 	}
-	checkpoint, velocity, err := checkpointState(exec, replicas, opts)
+	checkpoint, velocity, err := checkpointState(replicas, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -479,7 +478,7 @@ func shrinkCluster(cfg *Config, inc *incarnation, res *Result, exec executor, re
 	if victim < 0 || victim >= n {
 		victim = n - 1
 	}
-	checkpoint, _, err := checkpointState(exec, replicas, opts)
+	checkpoint, _, err := checkpointState(replicas, opts)
 	if err != nil {
 		return nil, err
 	}

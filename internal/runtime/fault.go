@@ -156,9 +156,21 @@ type faultTolerance struct {
 	inj         *faultinject.Injector
 	policy      allreduce.RetryPolicy
 	stepTimeout time.Duration
+	// events are the faults the executor recorded during the last step, in
+	// incarnation ranks; the driver drains them after every step attempt.
+	events []FaultRecord
 }
 
-// stepFailure is the driver's view of one failed synchronized step.
+// record appends the faults worker suffered at step to ft.events.
+func (ft *faultTolerance) record(step, worker int, f faultinject.StepFaults) {
+	ft.events = append(ft.events, FaultRecord{
+		Step: step, Worker: worker,
+		Stall: f.Stall, SendDelay: f.SendDelay, SendDrops: f.SendDrops, Killed: f.Kill,
+	})
+}
+
+// stepFailure is the error a guarded step returns when it cannot commit:
+// the driver's view of one failed synchronized step.
 type stepFailure struct {
 	// dead are the ranks (incarnation-relative) that never responded
 	// within the step deadline — crashed or permanently stalled workers.
@@ -169,6 +181,19 @@ type stepFailure struct {
 	// firstErr is one representative hop error for reporting.
 	firstErr error
 }
+
+func (f *stepFailure) Error() string {
+	switch {
+	case len(f.dead) > 0:
+		return fmt.Sprintf("runtime: step failed: workers %v silent past the step deadline", f.dead)
+	case f.firstErr != nil:
+		return "runtime: step failed: " + f.firstErr.Error()
+	default:
+		return "runtime: step failed"
+	}
+}
+
+func (f *stepFailure) Unwrap() error { return f.firstErr }
 
 // victims picks who to evict: dead workers if any were identified,
 // otherwise the most-blamed rank (ties broken toward the lowest rank so

@@ -163,6 +163,63 @@ func TestTransientFaultsTolerated(t *testing.T) {
 	}
 }
 
+// TestFaultToleranceCommModesAgree: both live worker layouts run the same
+// guarded hops (reduceBucket builds the options for either), so under the
+// same fault schedule the overlapped pair and the merged loop must report
+// the identical faults and evictions and train bitwise-identical weights.
+func TestFaultToleranceCommModesAgree(t *testing.T) {
+	schedules := []struct {
+		name   string
+		events []faultinject.Event
+	}{
+		{"transient", []faultinject.Event{
+			{Step: 2, Worker: 0, Kind: faultinject.KindStallCompute, Delay: 10 * time.Millisecond},
+			{Step: 4, Worker: 1, Kind: faultinject.KindDelayMsg, Delay: 8 * time.Millisecond},
+			{Step: 6, Worker: 2, Kind: faultinject.KindDropMsg, Count: 1},
+		}},
+		{"kill", []faultinject.Event{
+			{Step: 5, Worker: 1, Kind: faultinject.KindKillWorker},
+		}},
+	}
+	for _, sc := range schedules {
+		t.Run(sc.name, func(t *testing.T) {
+			defer watchdog(t, 2*time.Minute)()
+			var ref *Result
+			for _, mode := range []string{CommOverlap, CommMerged} {
+				cfg := faultConfig(t, 29)
+				cfg.CommMode = mode
+				cfg.Fault = fastFault(faultinject.Schedule{Events: sc.events})
+				res, err := Train(cfg)
+				if err != nil {
+					t.Fatalf("%s: %v", mode, err)
+				}
+				if ref == nil {
+					ref = res
+					continue
+				}
+				assertWeightsBitwise(t, mode, res.FinalWeights, ref.FinalWeights)
+				if fmt.Sprint(res.FaultEvents) != fmt.Sprint(ref.FaultEvents) {
+					t.Fatalf("%s faults %v, overlap %v", mode, res.FaultEvents, ref.FaultEvents)
+				}
+				if len(res.Evictions) != len(ref.Evictions) {
+					t.Fatalf("%s evictions %+v, overlap %+v", mode, res.Evictions, ref.Evictions)
+				}
+				for i, ev := range res.Evictions {
+					want := ref.Evictions[i]
+					if ev.Epoch != want.Epoch || ev.Step != want.Step ||
+						fmt.Sprint(ev.Workers, ev.Survivors, ev.SurvivorBatches) != fmt.Sprint(want.Workers, want.Survivors, want.SurvivorBatches) {
+						t.Fatalf("%s eviction %+v, overlap %+v", mode, ev, want)
+					}
+					assertWeightsBitwise(t, mode+" checkpoint", ev.Checkpoint, want.Checkpoint)
+				}
+			}
+			if sc.name == "kill" && len(ref.Evictions) != 1 {
+				t.Fatalf("kill schedule evicted %+v, want one eviction", ref.Evictions)
+			}
+		})
+	}
+}
+
 // TestPermanentStallEvicts is the acceptance scenario: a worker that
 // stalls forever mid-training is detected by the step deadline, evicted,
 // and the run completes on the survivors instead of deadlocking.

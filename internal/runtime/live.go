@@ -2,7 +2,6 @@ package runtime
 
 import (
 	"errors"
-	"fmt"
 	stdruntime "runtime"
 	"sync"
 	"time"
@@ -24,13 +23,9 @@ const ringDepth = 8
 // (false). CommAuto merges when the workers alone already cover the host's
 // usable parallelism — min(GOMAXPROCS, NumCPU), so an oversubscribed
 // GOMAXPROCS doesn't fake capacity — because then the extra comm goroutines
-// buy no overlap, only scheduler churn. Fault-tolerant runs always run the
-// pair: only the comm goroutine builds guarded hop options (validate
-// rejects an explicit merged+Fault combination).
-func resolveCommMode(mode string, nWorkers int, ft *faultTolerance) bool {
-	if ft != nil {
-		return false
-	}
+// buy no overlap, only scheduler churn. Both layouts run fault tolerance:
+// the guarded hop options are built in reduceBucket, which both call.
+func resolveCommMode(mode string, nWorkers int) bool {
 	switch mode {
 	case CommMerged:
 		return true
@@ -51,7 +46,9 @@ func resolveCommMode(mode string, nWorkers int, ft *faultTolerance) bool {
 // finalized it (internal/nn's layerwise frontier), so reductions of
 // already-finished buckets proceed while earlier layers are still
 // backpropagating: real compute/communication overlap, measured with
-// wall-clock timers rather than simulated.
+// wall-clock timers rather than simulated. In merged mode (see
+// resolveCommMode) each worker is instead one goroutine that reduces every
+// bucket inline at the frontier.
 //
 // With fault tolerance armed (ft != nil) the engine runs every ring hop
 // under a per-hop deadline with bounded retry, consults the deterministic
@@ -71,10 +68,10 @@ type liveExec struct {
 	// reused across steps so the steady-state step path does not allocate.
 	sampleBatches []int
 	sampleNorms   []float64
-	// stepResults, stepResponded, and collectTimer are stepGuarded's
-	// reusable per-step state (guarded runs only): the guarded path must be
-	// as allocation-free per step as the plain one, or long fault-tolerant
-	// runs accumulate GC pressure the AllocsPerRun tests never saw.
+	// stepResults, stepResponded, and collectTimer are step's reusable
+	// per-step state: the guarded path must be as allocation-free per step
+	// as the plain one, or long fault-tolerant runs accumulate GC pressure
+	// the AllocsPerRun tests never saw.
 	stepResults   []stepResult
 	stepResponded []bool
 	collectTimer  *time.Timer
@@ -106,7 +103,7 @@ type stepResult struct {
 }
 
 // commStats aggregates one step's communication timing inside the comm
-// goroutine.
+// goroutine (or, in merged mode, the worker's only goroutine).
 type commStats struct {
 	busy     time.Duration // total time inside Ring.ReduceWith
 	tu       time.Duration // the final bucket's reduce duration
@@ -184,10 +181,8 @@ func newLiveExec(replicas []*nn.Network, opts []*nn.SGD, bucketLen int, algs []a
 		closing:       make(chan struct{}),
 		sampleBatches: make([]int, n),
 		sampleNorms:   make([]float64, n),
-	}
-	if ft != nil {
-		e.stepResults = make([]stepResult, n)
-		e.stepResponded = make([]bool, n)
+		stepResults:   make([]stepResult, n),
+		stepResponded: make([]bool, n),
 	}
 	for i := range e.workers {
 		params := replicas[i].Params()
@@ -242,23 +237,41 @@ func newLiveExec(replicas []*nn.Network, opts []*nn.SGD, bucketLen int, algs []a
 	return e
 }
 
+// step runs one synchronized step. Unguarded, every worker applies its own
+// update and the driver only collects. Guarded, the driver collects every
+// outcome within the step deadline and the update is committed only if
+// every worker finished cleanly; otherwise step returns a *stepFailure
+// naming the workers that went silent and whom the failed hops suspect, and
+// no replica has applied the step, so the replicas remain
+// bitwise-consistent at the last committed step.
 func (e *liveExec) step(epoch, step int, xs []*tensor.T, labels [][]int, stepWeights []float64, lr float64) (gns.Sample, error) {
 	n := len(e.workers)
 	for i, w := range e.workers {
 		w.tasks <- stepTask{epoch: epoch, step: step, x: xs[i], labels: labels[i], weight: stepWeights[i], lr: lr}
+	}
+	results := e.stepResults
+	if e.ft == nil {
+		// Collect in rank order: a BSP barrier, and a deterministic profile.
+		var err error
+		for i, w := range e.workers {
+			results[i] = <-w.results
+			if err == nil {
+				err = results[i].err
+			}
+		}
+		if err != nil {
+			return gns.Sample{}, err
+		}
+	} else if fail := e.commit(step); fail != nil {
+		return gns.Sample{}, fail
 	}
 	// The sample aliases exec-owned buffers valid until the next step call.
 	sample := gns.Sample{
 		Batches:      e.sampleBatches[:n],
 		LocalSqNorms: e.sampleNorms[:n],
 	}
-	// Collect in rank order: a BSP barrier, and a deterministic profile.
-	var err error
-	for i, w := range e.workers {
-		r := <-w.results
-		if r.err != nil && err == nil {
-			err = r.err
-		}
+	for i := range results {
+		r := &results[i]
 		sample.Batches[i] = r.batch
 		sample.LocalSqNorms[i] = r.localSq
 		if i == 0 {
@@ -266,21 +279,15 @@ func (e *liveExec) step(epoch, step int, xs []*tensor.T, labels [][]int, stepWei
 		}
 		e.prof.Samples = append(e.prof.Samples, r.sample)
 	}
-	return sample, err
+	return sample, nil
 }
 
-// stepGuarded runs one synchronized step under fault tolerance: workers
-// compute and communicate under per-hop deadlines, the driver collects
-// every outcome within the step deadline, and the optimizer update is
-// committed only if every worker finished cleanly. On failure it reports
-// which workers went silent and whom the failed hops suspect; no replica
-// has applied the step, so the replicas remain bitwise-consistent at the
-// last committed step.
-func (e *liveExec) stepGuarded(epoch, step int, xs []*tensor.T, labels [][]int, stepWeights []float64, lr float64) (gns.Sample, []FaultRecord, *stepFailure, error) {
+// commit is the guarded half of step: it collects every worker's result
+// within the step deadline, votes the two-phase commit, waits for the
+// acknowledgements, and records the injected faults the workers suffered
+// in e.ft.events. It returns nil when the step committed.
+func (e *liveExec) commit(step int) *stepFailure {
 	n := len(e.workers)
-	for i, w := range e.workers {
-		w.tasks <- stepTask{epoch: epoch, step: step, x: xs[i], labels: labels[i], weight: stepWeights[i], lr: lr}
-	}
 	deadline := time.Now().Add(e.ft.stepTimeout)
 	results := e.stepResults
 	responded := e.stepResponded
@@ -316,7 +323,6 @@ func (e *liveExec) stepGuarded(epoch, step int, xs []*tensor.T, labels [][]int, 
 	}
 
 	ok := true
-	var fail *stepFailure
 	for i := range e.workers {
 		if !responded[i] || results[i].aborted || results[i].err != nil {
 			ok = false
@@ -335,14 +341,10 @@ func (e *liveExec) stepGuarded(epoch, step int, xs []*tensor.T, labels [][]int, 
 		}
 	}
 
-	var records []FaultRecord
 	for i := range e.workers {
 		f := results[i].faults
 		if responded[i] && f.Any() {
-			records = append(records, FaultRecord{
-				Step: step, Worker: i,
-				Stall: f.Stall, SendDelay: f.SendDelay, SendDrops: f.SendDrops, Killed: f.Kill,
-			})
+			e.ft.record(step, i, f)
 		}
 	}
 	// A silent worker consumed its faults but could not report them; its
@@ -350,62 +352,31 @@ func (e *liveExec) stepGuarded(epoch, step int, xs []*tensor.T, labels [][]int, 
 	for i := range e.workers {
 		if !responded[i] {
 			if f := e.ft.inj.At(i, step); f.Any() {
-				records = append(records, FaultRecord{
-					Step: step, Worker: i,
-					Stall: f.Stall, SendDelay: f.SendDelay, SendDrops: f.SendDrops, Killed: f.Kill,
-				})
+				e.ft.record(step, i, f)
 			}
 		}
 	}
-
-	if !ok {
-		fail = &stepFailure{blame: make([]int, n)}
-		for i := range e.workers {
-			if !responded[i] || results[i].aborted {
-				fail.dead = append(fail.dead, i)
-				continue
-			}
-			if results[i].err != nil {
-				if fail.firstErr == nil {
-					fail.firstErr = results[i].err
-				}
-				if s := results[i].suspect; s >= 0 && s < n {
-					fail.blame[s]++
-				}
-			}
-		}
-		return gns.Sample{}, records, fail, nil
+	if ok {
+		return nil
 	}
 
-	sample := gns.Sample{
-		Batches:      e.sampleBatches[:n],
-		LocalSqNorms: e.sampleNorms[:n],
-	}
+	fail := &stepFailure{blame: make([]int, n)}
 	for i := range e.workers {
-		r := results[i]
-		sample.Batches[i] = r.batch
-		sample.LocalSqNorms[i] = r.localSq
-		if i == 0 {
-			sample.GlobalSqNorm = r.globalSq
+		if !responded[i] || results[i].aborted {
+			fail.dead = append(fail.dead, i)
+			continue
 		}
-		e.prof.Samples = append(e.prof.Samples, r.sample)
-	}
-	return sample, records, nil, nil
-}
-
-func (e *liveExec) finalWeights() ([]float64, error) {
-	ref := e.workers[0].net.FlatWeights()
-	for i := 1; i < len(e.workers); i++ {
-		if d := maxAbsDiff(ref, e.workers[i].net.FlatWeights()); d > 1e-9 {
-			return nil, fmt.Errorf("runtime: replica %d diverged by %g", i, d)
+		if results[i].err != nil {
+			if fail.firstErr == nil {
+				fail.firstErr = results[i].err
+			}
+			if s := results[i].suspect; s >= 0 && s < n {
+				fail.blame[s]++
+			}
 		}
 	}
-	return ref, nil
+	return fail
 }
-
-// weights returns rank i's flat weight vector (used for survivor
-// checkpointing after a failed step).
-func (e *liveExec) weights(i int) []float64 { return e.workers[i].net.FlatWeights() }
 
 func (e *liveExec) profile() *Profile { return e.prof }
 
@@ -493,7 +464,7 @@ func (w *liveWorker) runStep(t stepTask) stepResult {
 				syncStart = time.Now()
 			}
 			if w.merged {
-				w.reduceBucket(nextBucket, allreduce.Options{}, &cs)
+				w.reduceBucket(nextBucket, f, &cs)
 			} else {
 				w.commQ <- nextBucket
 			}
@@ -579,12 +550,17 @@ func (w *liveWorker) stageGrads(fr, prevFr int, weight float64) {
 	}
 }
 
-// reduceBucket runs bucket k's ring reduction under o and accumulates its
-// timing — the one body shared by the overlapped comm goroutine and the
-// merged inline path, so both modes measure identically. The first hop
-// failure is sticky for the rest of the step: later buckets are skipped
-// (fail fast) and the failure is reported through cs.
-func (w *liveWorker) reduceBucket(k int, o allreduce.Options, cs *commStats) {
+// reduceBucket runs bucket k's ring reduction and accumulates its timing —
+// the one body shared by the overlapped comm goroutine and the merged
+// inline path, so both modes measure and guard identically. All ranks
+// launch buckets in the same sequence, so the blocking ring collective is
+// deadlock free, and per-bucket FIFO links keep messages matched even when
+// ranks are several buckets apart. Under fault tolerance every hop runs
+// under the retry policy's deadline, and the step's injected message
+// faults f hit its first bucket (buckets launch high-index-first). The
+// first hop failure is sticky for the rest of the step: later buckets are
+// skipped (fail fast) and the failure is reported through cs.
+func (w *liveWorker) reduceBucket(k int, f faultinject.StepFaults, cs *commStats) {
 	if cs.err != nil {
 		return
 	}
@@ -593,7 +569,15 @@ func (w *liveWorker) reduceBucket(k int, o allreduce.Options, cs *commStats) {
 	if hi > w.dim {
 		hi = w.dim
 	}
-	o.Algorithm = w.algs[k]
+	o := allreduce.Options{Algorithm: w.algs[k]}
+	if w.ft != nil {
+		o.Guard = true
+		o.Policy = w.ft.policy
+		if k == w.buckets-1 {
+			o.SendDelay = f.SendDelay
+			o.SendDrops = f.SendDrops
+		}
+	}
 	t0 := time.Now()
 	if err := w.ring.ReduceWith(w.rank, w.commBuf[lo:hi], o); err != nil {
 		cs.err = err
@@ -612,12 +596,8 @@ func (w *liveWorker) reduceBucket(k int, o allreduce.Options, cs *commStats) {
 	}
 }
 
-// commLoop reduces buckets in arrival order. Because all ranks enqueue
-// buckets in the same sequence, the blocking ring collective is deadlock
-// free, and per-bucket FIFO links keep messages matched even when ranks
-// are several buckets apart. In guarded mode every hop runs under the
-// retry policy's deadline, and the step's injected message faults hit its
-// first bucket (buckets launch high-index-first).
+// commLoop reduces buckets in arrival order, with the step's injected
+// faults the compute goroutine published in curFaults.
 func (w *liveWorker) commLoop() {
 	var cs commStats
 	for k := range w.commQ {
@@ -626,14 +606,6 @@ func (w *liveWorker) commLoop() {
 			cs = commStats{}
 			continue
 		}
-		var o allreduce.Options
-		if w.ft != nil {
-			o = allreduce.Options{Guard: true, Policy: w.ft.policy}
-			if k == w.buckets-1 {
-				o.SendDelay = w.curFaults.SendDelay
-				o.SendDrops = w.curFaults.SendDrops
-			}
-		}
-		w.reduceBucket(k, o, &cs)
+		w.reduceBucket(k, w.curFaults, &cs)
 	}
 }

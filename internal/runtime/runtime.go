@@ -41,6 +41,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 
 	"cannikin/internal/allreduce"
 	"cannikin/internal/data"
@@ -68,8 +69,7 @@ const (
 	// overlapping bucket reduction with backprop.
 	CommOverlap = "overlap"
 	// CommMerged always runs one goroutine per worker that reduces each
-	// bucket inline at the backprop frontier. Incompatible with Fault (the
-	// guarded two-phase path needs the dedicated comm goroutine).
+	// bucket inline at the backprop frontier.
 	CommMerged = "merged"
 )
 
@@ -230,9 +230,6 @@ func (c *Config) validate() error {
 	if c.LinkAlpha < 0 || c.LinkBeta < 0 {
 		return fmt.Errorf("runtime: negative link constants (alpha=%g, beta=%g)", c.LinkAlpha, c.LinkBeta)
 	}
-	if c.CommMode == CommMerged && c.Fault != nil {
-		return errors.New("runtime: merged comm mode is incompatible with fault injection (the guarded step needs the dedicated comm goroutine)")
-	}
 	if err := validateJoins(c.Joins, c.Epochs, c.GrowthEpoch); err != nil {
 		return err
 	}
@@ -294,14 +291,13 @@ type Result struct {
 
 // executor is one execution engine driven by the shared training loop.
 // step runs one synchronized step over the pre-drawn shards and returns
-// the GNS norm observations from the real gradients. The driver owns the
-// replicas the executor trains; between step calls no executor goroutine
-// touches them, and the driver evaluates on all of them concurrently
-// (evaluator.run).
+// the GNS norm observations from the real gradients; a guarded step that
+// cannot commit returns a *stepFailure. The driver owns the replicas the
+// executor trains; between step calls no executor goroutine touches them,
+// and the driver evaluates on all of them concurrently (evaluator.run) and
+// checks their consistency (replicaWeights).
 type executor interface {
 	step(epoch, step int, xs []*tensor.T, labels [][]int, stepWeights []float64, lr float64) (gns.Sample, error)
-	// finalWeights checks replica consistency and returns the weights.
-	finalWeights() ([]float64, error)
 	profile() *Profile
 	close()
 }
@@ -477,7 +473,7 @@ func runIncarnation(cfg *Config, inc *incarnation, res *Result, backend string, 
 	if err != nil {
 		return nil, err
 	}
-	merged := resolveCommMode(cfg.CommMode, nWorkers, ft)
+	merged := resolveCommMode(cfg.CommMode, nWorkers)
 
 	var exec executor
 	switch backend {
@@ -563,46 +559,38 @@ func runIncarnation(cfg *Config, inc *incarnation, res *Result, backend string, 
 			}
 
 			var sample gns.Sample
-			if ft == nil {
+			for attempt := 0; ; attempt++ {
 				sample, err = exec.step(epoch, res.Steps, xs, labels, stepWeights, lr)
-				if err != nil {
-					return nil, err
-				}
-			} else {
-				le := exec.(*liveExec)
-				var fail *stepFailure
-				for attempt := 0; ; attempt++ {
-					var records []FaultRecord
-					sample, records, fail, err = le.stepGuarded(epoch, res.Steps, xs, labels, stepWeights, lr)
-					if err != nil {
-						return nil, err
-					}
-					for _, r := range records {
+				if ft != nil {
+					for _, r := range ft.events {
 						r.Worker = inc.origIdx[r.Worker]
 						res.FaultEvents = append(res.FaultEvents, r)
 					}
-					if fail == nil {
-						break
-					}
-					if len(fail.dead) > 0 || attempt >= cfg.Fault.stepRetries() {
-						break
-					}
-					// Transient ring failure with every worker responsive:
-					// retry the step on a rebuilt ring. Replicas and
-					// optimizers carry over untouched (the failed step was
-					// never applied), so a successful retry is
-					// bitwise-identical to an undisturbed run.
-					exec.close()
-					le2 := newLiveExec(replicas, opts, bucketLen, algs, ft, merged)
-					le2.prof = le.prof
-					le, exec = le2, le2
+					ft.events = ft.events[:0]
 				}
-				if fail != nil {
-					next, err := evict(cfg, inc, res, le, fail, epoch, localBatches, lr)
+				if err == nil {
+					break
+				}
+				var fail *stepFailure
+				if !errors.As(err, &fail) {
+					return nil, err
+				}
+				if len(fail.dead) > 0 || attempt >= cfg.Fault.stepRetries() {
+					next, err := evict(cfg, inc, res, replicas, exec.profile(), fail, epoch, localBatches, lr)
 					exec.close()
 					exec = nil
 					return next, err
 				}
+				// Transient ring failure with every worker responsive:
+				// retry the step on a rebuilt ring. Replicas and optimizers
+				// carry over untouched (the failed step was never applied),
+				// so a successful retry is bitwise-identical to an
+				// undisturbed run.
+				prof := exec.profile()
+				exec.close()
+				le := newLiveExec(replicas, opts, bucketLen, algs, ft, merged)
+				le.prof = prof
+				exec = le
 			}
 			if nWorkers >= 2 {
 				if est, gerr := estimator.Estimate(sample); gerr == nil {
@@ -664,7 +652,7 @@ func runIncarnation(cfg *Config, inc *incarnation, res *Result, backend string, 
 	}
 	res.FinalAccuracy = res.EpochAccuracy[len(res.EpochAccuracy)-1]
 
-	final, err := exec.finalWeights()
+	final, err := replicaWeights(replicas)
 	if err != nil {
 		return nil, err
 	}
@@ -680,7 +668,7 @@ func runIncarnation(cfg *Config, inc *incarnation, res *Result, backend string, 
 // re-plans the survivor batches, records the Eviction, and builds the
 // recovery incarnation. The caller closes the executor; the survivor
 // networks stay readable afterwards because the driver owns them.
-func evict(cfg *Config, inc *incarnation, res *Result, le *liveExec, fail *stepFailure, epoch int, localBatches []int, lr float64) (*incarnation, error) {
+func evict(cfg *Config, inc *incarnation, res *Result, replicas []*nn.Network, prof *Profile, fail *stepFailure, epoch int, localBatches []int, lr float64) (*incarnation, error) {
 	victims := fail.victims()
 	if len(victims) == 0 {
 		if fail.firstErr != nil {
@@ -704,15 +692,14 @@ func evict(cfg *Config, inc *incarnation, res *Result, le *liveExec, fail *stepF
 
 	// The two-phase commit guarantees every survivor sits at the last
 	// committed step; verify before checkpointing.
-	ref := le.weights(survivors[0])
+	checkpoint := replicas[survivors[0]].FlatWeights()
 	for _, s := range survivors[1:] {
-		if d := maxAbsDiff(ref, le.weights(s)); d != 0 {
-			return nil, fmt.Errorf("runtime: survivors diverged by %g after failed step", d)
+		if err := divergence(checkpoint, replicas[s].FlatWeights()); err != nil {
+			return nil, fmt.Errorf("runtime: survivor %d diverged after failed step: %w", s, err)
 		}
 	}
-	checkpoint := append([]float64(nil), ref...)
 
-	batches, replanned := replanSurvivors(cfg.Fault.Replan, le.profile(), survivors, localBatches)
+	batches, replanned := replanSurvivors(cfg.Fault.Replan, prof, survivors, localBatches)
 
 	reason := "ring fault"
 	if len(fail.dead) > 0 {
@@ -775,16 +762,33 @@ func sqNorm(v []float64) float64 {
 	return s
 }
 
-func maxAbsDiff(a, b []float64) float64 {
-	m := 0.0
-	for i := range a {
-		d := a[i] - b[i]
-		if d < 0 {
-			d = -d
-		}
-		if d > m {
-			m = d
+// divergence reports the first element at which v differs bit for bit from
+// ref, or nil when the two are identical. Replicas share one bitwise
+// contract, so no tolerance applies; comparing bit patterns rather than
+// values is what lets a NaN (equal to nothing under ==) and a sign flip of
+// zero (equal under ==) show.
+func divergence(ref, v []float64) error {
+	if len(v) != len(ref) {
+		return fmt.Errorf("length %d, want %d", len(v), len(ref))
+	}
+	for i := range ref {
+		if math.Float64bits(v[i]) != math.Float64bits(ref[i]) {
+			return fmt.Errorf("element %d is %v, want %v", i, v[i], ref[i])
 		}
 	}
-	return m
+	return nil
+}
+
+// replicaWeights returns replica 0's flat weights after checking that every
+// other replica holds the bitwise-identical vector. A worker-mode driver
+// holds only its own replica; agreement across ranks is the coordinator's
+// check (every rank reports its weight hash).
+func replicaWeights(replicas []*nn.Network) ([]float64, error) {
+	ref := replicas[0].FlatWeights()
+	for i := 1; i < len(replicas); i++ {
+		if err := divergence(ref, replicas[i].FlatWeights()); err != nil {
+			return nil, fmt.Errorf("runtime: replica %d diverged: %w", i, err)
+		}
+	}
+	return ref, nil
 }

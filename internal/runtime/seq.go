@@ -1,8 +1,6 @@
 package runtime
 
 import (
-	"fmt"
-
 	"cannikin/internal/allreduce"
 	"cannikin/internal/gns"
 	"cannikin/internal/nn"
@@ -93,16 +91,6 @@ func (e *seqExec) step(epoch, step int, xs []*tensor.T, labels [][]int, stepWeig
 		e.opts[i].Step(e.params[i], lr)
 	}
 	return sample, nil
-}
-
-func (e *seqExec) finalWeights() ([]float64, error) {
-	ref := e.replicas[0].FlatWeights()
-	for i := 1; i < len(e.replicas); i++ {
-		if d := maxAbsDiff(ref, e.replicas[i].FlatWeights()); d > 1e-9 {
-			return nil, fmt.Errorf("runtime: replica %d diverged by %g", i, d)
-		}
-	}
-	return ref, nil
 }
 
 func (e *seqExec) profile() *Profile { return nil }

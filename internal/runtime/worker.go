@@ -166,10 +166,6 @@ func (e *workerExec) step(epoch, step int, xs []*tensor.T, labels [][]int, stepW
 	return gns.Sample{Batches: e.batches, LocalSqNorms: e.normBuf, GlobalSqNorm: globalSq}, nil
 }
 
-// finalWeights returns the local replica's weights; cross-rank agreement
-// is the coordinator's check (every rank prints its weight hash).
-func (e *workerExec) finalWeights() ([]float64, error) { return e.net.FlatWeights(), nil }
-
 func (e *workerExec) profile() *Profile { return nil }
 
 func (e *workerExec) close() {}

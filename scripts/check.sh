@@ -19,15 +19,20 @@ go vet ./...
 echo "== perfbench module: vet + self-tests =="
 (cd perfbench && go vet . && go test .)
 
+# TestTCPBatchAutoNotSlowerThanPlain compares wall-clock times, so the
+# lanes that run packages side by side skip it and it runs alone below.
+TIMING_TEST='^TestTCPBatchAutoNotSlowerThanPlain$'
+
 echo "== go test -race =="
-go test -race ./...
+go test -race -skip "$TIMING_TEST" ./...
 
 # The live execution engine is the most concurrency-dense code in the repo
-# (two goroutines per worker, channel-linked ring, shared comm buffers), so
-# run its package and the collective under the race detector explicitly and
-# with a higher count even though ./... above already covers them once.
+# (two goroutines per worker, or one in merged mode, channel-linked ring,
+# shared comm buffers), so run its package and the collective under the
+# race detector explicitly and with a higher count even though ./... above
+# already covers them once.
 echo "== go test -race -count=2 (runtime + allreduce) =="
-go test -race -count=2 ./internal/runtime ./internal/allreduce
+go test -race -count=2 -skip "$TIMING_TEST" ./internal/runtime ./internal/allreduce
 
 # The tensor kernel worker pool shards matmuls across goroutines and is
 # resized at runtime (SetParallelism); run its parallel property tests —
@@ -53,7 +58,12 @@ go test -race -count=2 -cpu 1,2,4 -run 'Fault|Evict|Recovery|Guarded' ./internal
 # every replica concurrently, so its differential tests (chunked and
 # sharded == one full Forward, on every executor) run here too.
 echo "== go test -race -cpu 1,2,4 (tcp transport + worker runtime + sharded eval) =="
-go test -race -count=1 -cpu 1,2,4 -run 'Transport|TCP|Worker|Eval' ./internal/allreduce ./internal/runtime
+go test -race -count=1 -cpu 1,2,4 -run 'Transport|TCP|Worker|Eval' -skip "$TIMING_TEST" ./internal/allreduce ./internal/runtime
+
+# The BatchAuto-vs-plain wall-clock gate, alone: no other test package
+# competes for the cores while it times the two rings.
+echo "== go test -race -cpu 1,2,4 (tcp BatchAuto timing gate, alone) =="
+go test -race -count=1 -cpu 1,2,4 -run "$TIMING_TEST" ./internal/allreduce
 
 echo "== multi-process smoke: coordinator + worker processes over loopback tcp =="
 BIN="$(mktemp -d)"
