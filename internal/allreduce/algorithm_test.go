@@ -2,6 +2,7 @@ package allreduce
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"sync"
@@ -383,10 +384,10 @@ func TestChanPeerLinkErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Send([]float64{1, 2}); err != nil {
+	if err := a.Send([]float64{1, 2}, RetryPolicy{}); err != nil {
 		t.Fatal(err)
 	}
-	msg, err := b.Recv()
+	msg, err := b.Recv(RetryPolicy{})
 	if err != nil || len(msg) != 2 || msg[0] != 1 {
 		t.Fatalf("peer roundtrip: %v %v", msg, err)
 	}
@@ -405,52 +406,61 @@ func TestChanPeerLinkErrors(t *testing.T) {
 // that never grew peer links.
 type stubTransport struct{ tr Transport }
 
-func (s stubTransport) Workers() int               { return s.tr.Workers() }
-func (s stubTransport) Endpoint(rank int) Endpoint { return s.tr.Endpoint(rank) }
-func (s stubTransport) Close() error               { return s.tr.Close() }
+func (s stubTransport) Workers() int                { return s.tr.Workers() }
+func (s stubTransport) Endpoint(rank int) *Endpoint { return s.tr.Endpoint(rank) }
+func (s stubTransport) Close() error                { return s.tr.Close() }
 
-// TestTCPSteadyStateReduceAllocsZero is the satellite gate for the pooled
-// TCP framing: once the frame scratch, message buffers, and ring scratch
-// are warm, a full ring reduce over real sockets must allocate nothing on
-// either rank's path — reader and writer loops included, since
-// AllocsPerRun counts process-wide mallocs.
+// TestTCPSteadyStateReduceAllocsZero is the gate for the pooled TCP
+// framing: once the frame scratch, message buffers, hop timers and ring
+// scratch are warm, a full reduce over real sockets must allocate nothing
+// on either rank's path — reader and writer loops included, since
+// AllocsPerRun counts process-wide mallocs. Ring runs over the ring link,
+// hd over peer links, each plain and guarded.
 func TestTCPSteadyStateReduceAllocsZero(t *testing.T) {
 	const n, dim = 2, 256
-	set := buildTCPSet(t, n, 0)
-	defer set.close()
-	segs := make([][]float64, n)
-	for i := range segs {
-		segs[i] = make([]float64, dim)
-		for j := range segs[i] {
-			segs[i][j] = float64(i*dim + j)
-		}
-	}
-	start := make(chan struct{})
-	done := make(chan error)
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for range start {
-			done <- set.rings[1].ReduceWith(1, segs[1], Options{})
-		}
-	}()
-	defer wg.Wait()
-	defer close(start)
-	step := func() {
-		start <- struct{}{}
-		if err := set.rings[0].ReduceWith(0, segs[0], Options{}); err != nil {
-			t.Error(err)
-		}
-		if err := <-done; err != nil {
-			t.Error(err)
-		}
-	}
-	for i := 0; i < 5; i++ {
-		step() // warm frame scratch, circulating buffers, bufio
-	}
-	if allocs := testing.AllocsPerRun(50, step); allocs != 0 {
-		t.Fatalf("steady-state TCP reduce allocates %v times, want 0", allocs)
+	for _, tc := range []struct {
+		algo  Algorithm
+		guard bool
+	}{{AlgoRing, false}, {AlgoRing, true}, {AlgoHD, false}, {AlgoHD, true}} {
+		t.Run(fmt.Sprintf("%s/guard=%v", tc.algo, tc.guard), func(t *testing.T) {
+			set := buildTCPSet(t, n, 0)
+			defer set.close()
+			segs := make([][]float64, n)
+			for i := range segs {
+				segs[i] = make([]float64, dim)
+				for j := range segs[i] {
+					segs[i][j] = float64(i*dim + j)
+				}
+			}
+			opts := Options{Algorithm: tc.algo, Guard: tc.guard}
+			start := make(chan struct{})
+			done := make(chan error)
+			var wg sync.WaitGroup
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for range start {
+					done <- set.rings[1].ReduceWith(1, segs[1], opts)
+				}
+			}()
+			defer wg.Wait()
+			defer close(start)
+			step := func() {
+				start <- struct{}{}
+				if err := set.rings[0].ReduceWith(0, segs[0], opts); err != nil {
+					t.Error(err)
+				}
+				if err := <-done; err != nil {
+					t.Error(err)
+				}
+			}
+			for i := 0; i < 5; i++ {
+				step() // warm frame scratch, circulating buffers, timers, bufio
+			}
+			if allocs := testing.AllocsPerRun(50, step); allocs != 0 {
+				t.Fatalf("steady-state TCP reduce allocates %v times, want 0", allocs)
+			}
+		})
 	}
 }
 

@@ -81,11 +81,110 @@ type Ring struct {
 type ringScratch struct {
 	bounds []int
 	spare  []float64
-	ep     Endpoint
+	ep     *Endpoint
 	// peers caches resolved non-neighbor links (halving-doubling), indexed
 	// by peer rank; spans is the hd per-level window scratch.
-	peers []Endpoint
+	peers []*Endpoint
 	spans []int
+}
+
+// hops is one rank's hop state for one collective call, the single hop
+// layer under every schedule (ring, pipeline, hd, broadcast). It holds the
+// hop policy (zero, hence unbounded, unless the call is guarded), the
+// first-send fault injection, the hop counter a *RingFault reports, and
+// the circulating spare buffer: once a received buffer is consumed it
+// becomes the next send buffer, and finish parks it in the rank's scratch
+// for the next call, so a steady-state collective allocates nothing.
+type hops struct {
+	sc    *ringScratch
+	rank  int
+	opts  Options
+	p     RetryPolicy
+	hop   int
+	sent  bool
+	spare []float64
+}
+
+// startHops opens rank's hop state for one call, taking over the spare
+// buffer its previous call parked.
+func (r *Ring) startHops(rank int, opts Options) hops {
+	sc := &r.scratch[rank]
+	h := hops{sc: sc, rank: rank, opts: opts, spare: sc.spare}
+	sc.spare = nil
+	if opts.Guard {
+		h.p = opts.Policy.WithDefaults()
+	}
+	return h
+}
+
+// finish parks the spare buffer for the rank's next call and returns err.
+func (h *hops) finish(err error) error {
+	h.sc.spare = h.spare
+	return err
+}
+
+// stage copies src into a send buffer, reusing the spare one when it is
+// large enough.
+func (h *hops) stage(src []float64) []float64 {
+	var msg []float64
+	if cap(h.spare) >= len(src) {
+		msg = h.spare[:len(src)]
+		h.spare = nil
+	} else {
+		msg = make([]float64, len(src))
+	}
+	copy(msg, src)
+	return msg
+}
+
+// send hands msg to rank to over ep. A guarded call's first send carries
+// the injected faults: SendDelay, then one hop timeout per dropped attempt
+// (a lost packet the sender retransmits when its timer fires).
+func (h *hops) send(ep *Endpoint, to int, msg []float64) error {
+	if h.opts.Guard && !h.sent {
+		if h.opts.SendDelay > 0 {
+			time.Sleep(h.opts.SendDelay)
+		}
+		for d := 0; d < h.opts.SendDrops; d++ {
+			time.Sleep(h.p.HopTimeout)
+		}
+	}
+	h.sent = true
+	if err := ep.Send(msg, h.p); err != nil {
+		return &RingFault{Rank: h.rank, Suspect: to, Op: "send", Hop: h.hop, Cause: err}
+	}
+	return nil
+}
+
+// recv returns the next message from rank from over ep, which must carry
+// want elements: a message of any other length comes from a faulty or
+// hostile peer and fails the hop instead of corrupting the reduce.
+func (h *hops) recv(ep *Endpoint, from, want int) ([]float64, error) {
+	msg, err := ep.Recv(h.p)
+	if err == nil && len(msg) != want {
+		err = fmt.Errorf("message of %d elements, want %d", len(msg), want)
+	}
+	if err != nil {
+		return nil, &RingFault{Rank: h.rank, Suspect: from, Op: "recv", Hop: h.hop, Cause: err}
+	}
+	return msg, nil
+}
+
+// exchange sends a staged copy of src to rank to, then receives want
+// elements from rank from, over the one endpoint ep. The caller consumes
+// the returned message and hands it back through next.
+func (h *hops) exchange(ep *Endpoint, to int, src []float64, from, want int) ([]float64, error) {
+	if err := h.send(ep, to, h.stage(src)); err != nil {
+		return nil, err
+	}
+	return h.recv(ep, from, want)
+}
+
+// next retires a consumed message as the spare buffer and advances the
+// hop counter.
+func (h *hops) next(msg []float64) {
+	h.spare = msg
+	h.hop++
 }
 
 // NewRing returns a ring of n workers over an in-process channel transport

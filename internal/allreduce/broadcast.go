@@ -70,87 +70,39 @@ func (r *Ring) BroadcastWith(rank int, buf []float64, root int, opts Options) er
 	if n == 1 || dim == 0 {
 		return nil
 	}
-	sc := &r.scratch[rank]
-	ep := sc.ep
-	if ep == nil {
+	if r.scratch[rank].ep == nil {
 		return fmt.Errorf("allreduce: rank %d is not local to this transport", rank)
 	}
-	bounds := sc.bounds
+	h := r.startHops(rank, opts)
+	ep := h.sc.ep
+	bounds := h.sc.bounds
 	for c := 0; c <= n; c++ {
 		bounds[c] = c * dim / n
 	}
 
-	spare := sc.spare
-	sc.spare = nil
-	var p RetryPolicy
-	if opts.Guard {
-		p = opts.Policy.WithDefaults()
-	}
-	hop := 0
-	send := func(msg []float64) error {
-		var err error
-		if opts.Guard {
-			err = ep.SendTimed(msg, p)
-		} else {
-			err = ep.Send(msg)
-		}
-		if err != nil {
-			return &RingFault{Rank: rank, Suspect: (rank + 1) % n, Op: "send", Hop: hop, Cause: err}
-		}
-		hop++
-		return nil
-	}
-	recv := func(want int) ([]float64, error) {
-		var msg []float64
-		var err error
-		if opts.Guard {
-			msg, err = ep.RecvTimed(p)
-		} else {
-			msg, err = ep.Recv()
-		}
-		if err != nil {
-			return nil, &RingFault{Rank: rank, Suspect: (rank - 1 + n) % n, Op: "recv", Hop: hop, Cause: err}
-		}
-		if len(msg) != want {
-			return nil, fmt.Errorf("allreduce: broadcast rank %d hop %d: %d elements, want %d", rank, hop, len(msg), want)
-		}
-		return msg, nil
-	}
-
 	// Distance from root along the ring; the rank just before root is the
-	// pipeline's tail and forwards nothing.
+	// pipeline's tail and forwards nothing. Hop c carries chunk c.
+	succ, pred := (rank+1)%n, (rank-1+n)%n
 	dist := ((rank - root) + n) % n
-	last := dist == n-1
 	for c := 0; c < n; c++ {
+		h.hop = c
 		chunk := buf[bounds[c]:bounds[c+1]]
 		if dist == 0 { // root: send each chunk once
-			var msg []float64
-			if cap(spare) >= len(chunk) {
-				msg = spare[:len(chunk)]
-				spare = nil
-			} else {
-				msg = make([]float64, len(chunk))
-			}
-			copy(msg, chunk)
-			if err := send(msg); err != nil {
-				sc.spare = spare
-				return err
+			if err := h.send(ep, succ, h.stage(chunk)); err != nil {
+				return h.finish(err)
 			}
 			continue
 		}
-		msg, err := recv(len(chunk))
+		msg, err := h.recv(ep, pred, len(chunk))
 		if err != nil {
-			sc.spare = spare
-			return err
+			return h.finish(err)
 		}
 		copy(chunk, msg)
-		if last {
-			spare = msg // tail retires the buffer for the next call
-		} else if err := send(msg); err != nil {
-			sc.spare = spare
-			return err
+		if dist == n-1 {
+			h.spare = msg // tail retires the buffer for the next call
+		} else if err := h.send(ep, succ, msg); err != nil {
+			return h.finish(err)
 		}
 	}
-	sc.spare = spare
-	return nil
+	return h.finish(nil)
 }

@@ -16,7 +16,8 @@ var ErrHopTimeout = errors.New("allreduce: ring hop timed out")
 // Because sends and receives are idempotent until they succeed, "retry" is
 // simply another bounded wait on the same operation — what makes the whole
 // collective deadlock-free by construction: every blocked hop unblocks
-// within the policy's finite total budget.
+// within the policy's finite total budget. The zero policy is what
+// unguarded calls pass to Endpoint hops: it bounds nothing.
 type RetryPolicy struct {
 	// HopTimeout is the first attempt's deadline (default 20ms).
 	HopTimeout time.Duration

@@ -1,9 +1,6 @@
 package allreduce
 
-import (
-	"fmt"
-	"time"
-)
+import "fmt"
 
 // Recursive halving-doubling all-reduce (Rabenseifner / MPICH "short
 // message" schedule). The n ranks form a core group of g = 2^⌊log₂n⌋
@@ -49,10 +46,10 @@ func hdGroupRank(gid, ext int) int {
 // through the transport's PeerTransport extension on first use. The cache
 // lives in rank-private scratch, so steady-state lookups are lock-free
 // and allocation-free.
-func (r *Ring) peer(rank, to int) (Endpoint, error) {
+func (r *Ring) peer(rank, to int) (*Endpoint, error) {
 	sc := &r.scratch[rank]
 	if sc.peers == nil {
-		sc.peers = make([]Endpoint, r.n)
+		sc.peers = make([]*Endpoint, r.n)
 	}
 	if ep := sc.peers[to]; ep != nil {
 		return ep, nil
@@ -69,109 +66,33 @@ func (r *Ring) peer(rank, to int) (Endpoint, error) {
 	return ep, nil
 }
 
-// hdCall is the per-call hop state of one rank's halving-doubling reduce:
-// the guarded-hop policy, fault-injection bookkeeping, and the circulating
-// spare buffer (same contract as the ring path: a consumed receive buffer
-// becomes the next send buffer).
-type hdCall struct {
-	r         *Ring
-	rank      int
-	opts      Options
-	p         RetryPolicy
-	hop       int
-	firstSend bool
-	spare     []float64
-}
-
-func (c *hdCall) stage(src []float64) []float64 {
-	var msg []float64
-	if cap(c.spare) >= len(src) {
-		msg = c.spare[:len(src)]
-		c.spare = nil
-	} else {
-		msg = make([]float64, len(src))
-	}
-	copy(msg, src)
-	return msg
-}
-
-func (c *hdCall) send(ep Endpoint, peer int, msg []float64) error {
-	if !c.opts.Guard {
-		if err := ep.Send(msg); err != nil {
-			return &RingFault{Rank: c.rank, Suspect: peer, Op: "send", Hop: c.hop, Cause: err}
-		}
-		return nil
-	}
-	if c.firstSend {
-		c.firstSend = false
-		if c.opts.SendDelay > 0 {
-			time.Sleep(c.opts.SendDelay)
-		}
-		for d := 0; d < c.opts.SendDrops; d++ {
-			time.Sleep(c.p.HopTimeout)
-		}
-	}
-	if err := ep.SendTimed(msg, c.p); err != nil {
-		return &RingFault{Rank: c.rank, Suspect: peer, Op: "send", Hop: c.hop, Cause: err}
-	}
-	return nil
-}
-
-func (c *hdCall) recv(ep Endpoint, peer, want int) ([]float64, error) {
-	var msg []float64
-	var err error
-	if c.opts.Guard {
-		msg, err = ep.RecvTimed(c.p)
-	} else {
-		msg, err = ep.Recv()
-	}
-	if err != nil {
-		return nil, &RingFault{Rank: c.rank, Suspect: peer, Op: "recv", Hop: c.hop, Cause: err}
-	}
-	if len(msg) != want {
-		return nil, fmt.Errorf("allreduce: hd rank %d hop %d: %d elements from rank %d, want %d",
-			c.rank, c.hop, len(msg), peer, want)
-	}
-	return msg, nil
-}
-
 // reduceHD performs rank's share of one halving-doubling all-reduce. The
 // transport must implement PeerTransport; every rank of the ring must
 // call it concurrently with equal options.
 func (r *Ring) reduceHD(rank int, seg []float64, opts Options) error {
 	n := r.n
 	dim := len(seg)
-	sc := &r.scratch[rank]
 	g, q, ext := hdGroup(n)
-
-	c := hdCall{r: r, rank: rank, opts: opts, firstSend: true, spare: sc.spare}
-	sc.spare = nil
-	if opts.Guard {
-		c.p = opts.Policy.WithDefaults()
-	}
-	finish := func(err error) error {
-		sc.spare = c.spare
-		return err
-	}
+	h := r.startHops(rank, opts)
 
 	// Folded odd ranks: hand the whole segment to the even neighbor, then
 	// wait out the core rounds and copy the finished result back in.
 	if rank < 2*ext && rank%2 == 1 {
 		ep, err := r.peer(rank, rank-1)
 		if err != nil {
-			return finish(err)
+			return h.finish(err)
 		}
-		if err := c.send(ep, rank-1, c.stage(seg)); err != nil {
-			return finish(err)
+		if err := h.send(ep, rank-1, h.stage(seg)); err != nil {
+			return h.finish(err)
 		}
-		c.hop++
-		msg, err := c.recv(ep, rank-1, dim)
+		h.hop++
+		msg, err := h.recv(ep, rank-1, dim)
 		if err != nil {
-			return finish(err)
+			return h.finish(err)
 		}
 		copy(seg, msg)
-		c.spare = msg
-		return finish(nil)
+		h.next(msg)
+		return h.finish(nil)
 	}
 
 	var gid int
@@ -185,26 +106,25 @@ func (r *Ring) reduceHD(rank int, seg []float64, opts Options) error {
 	if rank < 2*ext {
 		ep, err := r.peer(rank, rank+1)
 		if err != nil {
-			return finish(err)
+			return h.finish(err)
 		}
-		msg, err := c.recv(ep, rank+1, dim)
+		msg, err := h.recv(ep, rank+1, dim)
 		if err != nil {
-			return finish(err)
+			return h.finish(err)
 		}
 		for j := range seg {
 			seg[j] += msg[j]
 		}
-		c.spare = msg
-		c.hop++
+		h.next(msg)
 	}
 
 	// Reduce-scatter: q rounds of recursive vector halving. spans records
 	// the [lo,hi) window per level so the all-gather can mirror it; the
 	// slice is rank-private scratch reused across calls.
-	if cap(sc.spans) < 2*(q+1) {
-		sc.spans = make([]int, 2*(q+1))
+	if cap(h.sc.spans) < 2*(q+1) {
+		h.sc.spans = make([]int, 2*(q+1))
 	}
-	spans := sc.spans[:2*(q+1)]
+	spans := h.sc.spans[:2*(q+1)]
 	lo, hi := 0, dim
 	spans[0], spans[1] = lo, hi
 	for i := 0; i < q; i++ {
@@ -212,7 +132,7 @@ func (r *Ring) reduceHD(rank int, seg []float64, opts Options) error {
 		partner := hdGroupRank(gid^dist, ext)
 		ep, err := r.peer(rank, partner)
 		if err != nil {
-			return finish(err)
+			return h.finish(err)
 		}
 		mid := lo + (hi-lo)/2
 		var klo, khi, slo, shi int
@@ -221,19 +141,15 @@ func (r *Ring) reduceHD(rank int, seg []float64, opts Options) error {
 		} else {
 			klo, khi, slo, shi = mid, hi, lo, mid
 		}
-		if err := c.send(ep, partner, c.stage(seg[slo:shi])); err != nil {
-			return finish(err)
-		}
-		msg, err := c.recv(ep, partner, khi-klo)
+		msg, err := h.exchange(ep, partner, seg[slo:shi], partner, khi-klo)
 		if err != nil {
-			return finish(err)
+			return h.finish(err)
 		}
 		dst := seg[klo:khi]
 		for j := range dst {
 			dst[j] += msg[j]
 		}
-		c.spare = msg
-		c.hop++
+		h.next(msg)
 		lo, hi = klo, khi
 		spans[2*(i+1)], spans[2*(i+1)+1] = lo, hi
 	}
@@ -247,7 +163,7 @@ func (r *Ring) reduceHD(rank int, seg []float64, opts Options) error {
 		partner := hdGroupRank(gid^dist, ext)
 		ep, err := r.peer(rank, partner)
 		if err != nil {
-			return finish(err)
+			return h.finish(err)
 		}
 		plo, phi := spans[2*i], spans[2*i+1]
 		mid := plo + (phi-plo)/2
@@ -262,16 +178,12 @@ func (r *Ring) reduceHD(rank int, seg []float64, opts Options) error {
 		} else {
 			siblo, sibhi = plo, mid
 		}
-		if err := c.send(ep, partner, c.stage(seg[lo:hi])); err != nil {
-			return finish(err)
-		}
-		msg, err := c.recv(ep, partner, sibhi-siblo)
+		msg, err := h.exchange(ep, partner, seg[lo:hi], partner, sibhi-siblo)
 		if err != nil {
-			return finish(err)
+			return h.finish(err)
 		}
 		copy(seg[siblo:sibhi], msg)
-		c.spare = msg
-		c.hop++
+		h.next(msg)
 		lo, hi = plo, phi
 	}
 
@@ -279,14 +191,14 @@ func (r *Ring) reduceHD(rank int, seg []float64, opts Options) error {
 	if rank < 2*ext {
 		ep, err := r.peer(rank, rank+1)
 		if err != nil {
-			return finish(err)
+			return h.finish(err)
 		}
-		if err := c.send(ep, rank+1, c.stage(seg)); err != nil {
-			return finish(err)
+		if err := h.send(ep, rank+1, h.stage(seg)); err != nil {
+			return h.finish(err)
 		}
-		c.hop++
+		h.hop++
 	}
-	return finish(nil)
+	return h.finish(nil)
 }
 
 // hdReduceInline performs the exact arithmetic of the distributed

@@ -1,7 +1,5 @@
 package allreduce
 
-import "time"
-
 // reducePipeline is the ring reduce-scatter / all-gather, the one body
 // behind both ring schedules: every hop's chunk travels as k separate
 // sub-chunk messages. AlgoRing runs it at k = 1 (one message per hop);
@@ -21,86 +19,22 @@ import "time"
 func (r *Ring) reducePipeline(rank int, seg []float64, opts Options, k int) error {
 	n := r.n
 	dim := len(seg)
-	sc := &r.scratch[rank]
-	ep := sc.ep
+	succ, pred := (rank+1)%n, (rank-1+n)%n
+	h := r.startHops(rank, opts)
+	ep := h.sc.ep
 
 	// Chunk c covers [bounds[c], bounds[c+1]); bounds is rank-private
 	// scratch reused across calls.
-	bounds := sc.bounds
+	bounds := h.sc.bounds
 	for c := 0; c <= n; c++ {
 		bounds[c] = c * dim / n
 	}
-	chunkAt := func(c int) (int, int) {
+	// sub returns sub-chunk t of chunk c: the same fixed subdivision on
+	// every rank, so sender and receiver agree framewise.
+	sub := func(c, t int) []float64 {
 		c = ((c % n) + n) % n
-		return bounds[c], bounds[c+1]
-	}
-
-	// Message buffers circulate around the ring: once a received buffer
-	// has been consumed it becomes this rank's next send buffer, and the
-	// final buffer is parked in the rank's scratch for the next call, so a
-	// steady-state reduce allocates nothing.
-	spare := sc.spare
-	sc.spare = nil
-	stage := func(src []float64) []float64 {
-		var msg []float64
-		if cap(spare) >= len(src) {
-			msg = spare[:len(src)]
-			spare = nil
-		} else {
-			msg = make([]float64, len(src))
-		}
-		copy(msg, src)
-		return msg
-	}
-
-	var p RetryPolicy
-	if opts.Guard {
-		p = opts.Policy.WithDefaults()
-	}
-	hop := 0
-	firstSend := true
-	send := func(msg []float64) error {
-		if !opts.Guard {
-			if err := ep.Send(msg); err != nil {
-				return &RingFault{Rank: rank, Suspect: (rank + 1) % n, Op: "send", Hop: hop, Cause: err}
-			}
-			return nil
-		}
-		if firstSend {
-			firstSend = false
-			if opts.SendDelay > 0 {
-				time.Sleep(opts.SendDelay)
-			}
-			// Each dropped attempt is a lost packet: the payload is not
-			// delivered, and the sender retransmits after one hop timeout.
-			for d := 0; d < opts.SendDrops; d++ {
-				time.Sleep(p.HopTimeout)
-			}
-		}
-		if err := ep.SendTimed(msg, p); err != nil {
-			return &RingFault{Rank: rank, Suspect: (rank + 1) % n, Op: "send", Hop: hop, Cause: err}
-		}
-		return nil
-	}
-	recv := func() ([]float64, error) {
-		var msg []float64
-		var err error
-		if opts.Guard {
-			msg, err = ep.RecvTimed(p)
-		} else {
-			msg, err = ep.Recv()
-		}
-		if err != nil {
-			return nil, &RingFault{Rank: rank, Suspect: (rank - 1 + n) % n, Op: "recv", Hop: hop, Cause: err}
-		}
-		return msg, nil
-	}
-
-	// sub returns sub-chunk t of the [lo,hi) chunk: the same fixed
-	// subdivision on every rank, so sender and receiver agree framewise.
-	sub := func(lo, hi, t int) (int, int) {
-		w := hi - lo
-		return lo + t*w/k, lo + (t+1)*w/k
+		lo, w := bounds[c], bounds[c+1]-bounds[c]
+		return seg[lo+t*w/k : lo+(t+1)*w/k]
 	}
 
 	// Reduce-scatter: after step s, rank holds the partial sum of chunk
@@ -108,51 +42,31 @@ func (r *Ring) reducePipeline(rank int, seg []float64, opts Options, k int) erro
 	// the complete chunk (rank + 1). Sending before receiving within each
 	// sub-step needs only one slot of link buffering.
 	for s := 0; s < n-1; s++ {
-		slo, shi := chunkAt(rank - s)
-		dlo, dhi := chunkAt(rank - s - 1)
 		for t := 0; t < k; t++ {
-			tlo, thi := sub(slo, shi, t)
-			if err := send(stage(seg[tlo:thi])); err != nil {
-				sc.spare = spare
-				return err
-			}
-			msg, err := recv()
+			dst := sub(rank-s-1, t)
+			msg, err := h.exchange(ep, succ, sub(rank-s, t), pred, len(dst))
 			if err != nil {
-				sc.spare = spare
-				return err
+				return h.finish(err)
 			}
-			ulo, uhi := sub(dlo, dhi, t)
-			dst := seg[ulo:uhi]
 			for j := range dst {
 				dst[j] += msg[j]
 			}
-			spare = msg
-			hop++
+			h.next(msg)
 		}
 	}
 	// All-gather: circulate the completed chunks sub-chunk by sub-chunk.
 	for s := 0; s < n-1; s++ {
-		slo, shi := chunkAt(rank + 1 - s)
-		dlo, dhi := chunkAt(rank - s)
 		for t := 0; t < k; t++ {
-			tlo, thi := sub(slo, shi, t)
-			if err := send(stage(seg[tlo:thi])); err != nil {
-				sc.spare = spare
-				return err
-			}
-			msg, err := recv()
+			dst := sub(rank-s, t)
+			msg, err := h.exchange(ep, succ, sub(rank+1-s, t), pred, len(dst))
 			if err != nil {
-				sc.spare = spare
-				return err
+				return h.finish(err)
 			}
-			ulo, uhi := sub(dlo, dhi, t)
-			copy(seg[ulo:uhi], msg)
-			spare = msg
-			hop++
+			copy(dst, msg)
+			h.next(msg)
 		}
 	}
-	sc.spare = spare
-	return nil
+	return h.finish(nil)
 }
 
 // pipelineReduceInline performs the pipelined ring's arithmetic

@@ -8,6 +8,7 @@ import (
 	"io"
 	"math"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -31,6 +32,13 @@ import (
 // non-neighbor exchanges) reuse the identical frame layout on dedicated
 // sockets; their hello leads with tcpPeerMagic instead, so one listener
 // serves both ring bring-up and lazy peer dials.
+//
+// Every link, ring or peer, is one tcpLink: an Endpoint whose queues one
+// writer and one reader goroutine serve. The ring link lingers to batch
+// and its failure fails the whole transport; a peer link flushes at once
+// and fails alone. The reader trusts nothing it is sent: the prefix is
+// capped, buffers grow only as payload arrives, and the collectives check
+// every message's length before using it.
 const tcpMagic = "CKR1"
 
 // tcpPeerMagic opens a peer-link connection: same 12-byte hello frame,
@@ -116,47 +124,35 @@ func (s TCPStats) MsgsPerBatch() float64 {
 
 // TCPTransport connects one local rank into a ring of OS processes over
 // real sockets: an outgoing connection to the successor and an incoming
-// one from the predecessor. Endpoint returns non-nil only for the local
-// rank. Hop deadlines (RetryPolicy) bound waits on the transport's queues,
-// so a stalled peer surfaces as ErrHopTimeout exactly like a stalled
-// channel neighbor, while a broken socket fails pending and future hops
-// immediately with the underlying error — ReduceWith maps both onto
+// one from the predecessor form the ring link, and halving-doubling's
+// peer links are dialed lazily. Endpoint returns non-nil only for the
+// local rank. Hop deadlines (RetryPolicy) bound waits on the links'
+// queues, so a stalled peer surfaces as ErrHopTimeout exactly like a
+// stalled channel neighbor, while a broken socket fails pending and future
+// hops immediately with the underlying error — ReduceWith maps both onto
 // *RingFault blame.
 type TCPTransport struct {
 	rank, n int
 	cfg     TCPConfig
 
-	ln       net.Listener
-	sendConn net.Conn // to successor
-	recvConn net.Conn // from predecessor
-
-	sendQ chan []float64
-	recvQ chan []float64
-	free  chan []float64 // recycled message buffers: writer → reader
-
-	done     chan struct{}
-	quit     chan struct{} // graceful close: writer drains sendQ, flushes, exits
-	wDone    chan struct{} // writeLoop finished (drain complete or failed)
-	started  bool          // reader/writer loops are running
-	closeErr sync.Once
-	err      atomic.Value // error: first fatal transport failure
-	wg       sync.WaitGroup
-	closed   sync.Once
-
-	// Guarded-hop deadline timers, reused across hops (see chanEndpoint);
-	// owned by the local rank's goroutine.
-	sendTimer *time.Timer
-	recvTimer *time.Timer
+	ln    net.Listener
+	ring  *tcpLink   // send side to the successor, receive side from the predecessor
+	fault *linkFault // the ring link's: its failure fails the whole transport
+	free  bufPool    // message buffers recycled from writers to readers
+	wg    sync.WaitGroup
+	once  sync.Once
 
 	// Peer links, built lazily on first Peer() call (lower rank dials,
 	// higher rank accepts on the ring listener). A broken peer link fails
-	// only its own hops, never the ring.
+	// only its own hops, never the ring. closing stops new links from
+	// starting once Close has begun.
 	peersMu sync.Mutex
-	peers   map[int]*tcpPeer
+	peers   map[int]*tcpLink
+	closing bool
 
-	bytesSent, bytesRecv int64
-	msgsSent, msgsRecv   int64
-	batches              int64
+	bytesSent, bytesRecv atomic.Int64
+	msgsSent, msgsRecv   atomic.Int64
+	batches              atomic.Int64
 }
 
 // NewTCPTransport sets this rank's ring connections up and starts its
@@ -176,13 +172,11 @@ func NewTCPTransport(cfg TCPConfig) (*TCPTransport, error) {
 		rank:  cfg.Rank,
 		n:     n,
 		cfg:   cfg,
-		sendQ: make(chan []float64, cfg.Depth),
-		recvQ: make(chan []float64, cfg.Depth),
-		free:  make(chan []float64, 2*cfg.Depth),
-		done:  make(chan struct{}),
-		quit:  make(chan struct{}),
-		wDone: make(chan struct{}),
+		fault: newLinkFault(),
+		free:  make(bufPool, 2*cfg.Depth), // a full send and receive queue's worth
 	}
+	succ, pred := (t.rank+1)%n, (t.rank-1+n)%n
+	t.ring = t.newLink(t.fault, cfg.BatchDelay, 256<<10, fmt.Sprint(succ), fmt.Sprint(pred))
 	if n == 1 {
 		t.ln = cfg.Listener // still owned: Close must release it
 		return t, nil       // a single-rank ring exchanges nothing
@@ -191,16 +185,15 @@ func NewTCPTransport(cfg TCPConfig) (*TCPTransport, error) {
 		t.Close()
 		return nil, err
 	}
-	t.started = true
-	t.wg.Add(3)
-	go t.writeLoop()
-	go t.readLoop()
+	t.ring.start()
+	t.wg.Add(1)
 	go t.acceptLoop()
 	return t, nil
 }
 
-// connect establishes the two neighbor links: listen for the predecessor,
-// dial the successor (retrying while it boots), and exchange hellos.
+// connect establishes the ring link's two sockets: listen for the
+// predecessor, dial the successor (retrying while it boots), and exchange
+// hellos.
 func (t *TCPTransport) connect() error {
 	deadline := time.Now().Add(t.cfg.DialTimeout)
 	ln := t.cfg.Listener
@@ -218,46 +211,30 @@ func (t *TCPTransport) connect() error {
 	// Dial the successor in the background while accepting the
 	// predecessor; with both sides of every process doing this, ring
 	// bring-up needs no global ordering.
-	type dialResult struct {
-		conn net.Conn
-		err  error
-	}
-	dialCh := make(chan dialResult, 1)
+	dialCh := make(chan error, 1)
 	go func() {
-		var lastErr error
-		for time.Now().Before(deadline) {
-			conn, err := net.DialTimeout("tcp", t.cfg.Peers[succ], time.Until(deadline))
-			if err == nil {
-				if err = writeHello(conn, t.rank, t.n); err == nil {
-					dialCh <- dialResult{conn: conn}
-					return
-				}
-				conn.Close()
-			}
-			lastErr = err
-			time.Sleep(20 * time.Millisecond)
-		}
-		dialCh <- dialResult{err: fmt.Errorf("allreduce: rank %d dial successor %d (%s): %w",
-			t.rank, succ, t.cfg.Peers[succ], lastErr)}
+		conn, err := t.dial(succ, tcpMagic)
+		t.ring.w = conn
+		dialCh <- err
 	}()
 
 	var acceptErr error
 	if d, ok := ln.(interface{ SetDeadline(time.Time) error }); ok {
 		_ = d.SetDeadline(deadline)
 	}
-	for t.recvConn == nil {
+	for t.ring.r == nil {
 		conn, err := ln.Accept()
 		if err != nil {
 			acceptErr = fmt.Errorf("allreduce: rank %d accept predecessor %d: %w", t.rank, pred, err)
 			break
 		}
-		magic, from, workers, err := readHello(conn)
+		magic, from, err := readHello(conn, t.n, t.rank)
 		switch {
-		case err == nil && magic == tcpMagic && workers == t.n && from == pred:
-			t.recvConn = conn
-		case err == nil && magic == tcpPeerMagic && workers == t.n && from >= 0 && from < t.n && from != t.rank:
+		case err == nil && magic == tcpMagic && from == pred:
+			t.ring.r = conn
+		case err == nil && magic == tcpPeerMagic:
 			// An eager peer dialed before our ring bring-up finished.
-			t.peerSlot(from).attach(conn)
+			t.attach(t.peerLink(from), conn)
 		default:
 			// A stray or malformed connection (port scan, stale dial from a
 			// previous run): drop it and keep accepting.
@@ -268,14 +245,34 @@ func (t *TCPTransport) connect() error {
 		_ = d.SetDeadline(time.Time{}) // acceptLoop serves peer dials with no deadline
 	}
 
-	res := <-dialCh
-	if res.err == nil {
-		t.sendConn = res.conn
+	if err := <-dialCh; acceptErr == nil {
+		acceptErr = err
 	}
-	if acceptErr != nil {
-		return acceptErr
+	return acceptErr
+}
+
+// dial connects to rank to's listener with the given hello, retrying
+// while it boots until the dial timeout lapses or the transport fails.
+func (t *TCPTransport) dial(to int, magic string) (net.Conn, error) {
+	deadline := time.Now().Add(t.cfg.DialTimeout)
+	var lastErr error
+	for time.Now().Before(deadline) {
+		select {
+		case <-t.fault.done:
+			return nil, t.fault.err
+		default:
+		}
+		conn, err := net.DialTimeout("tcp", t.cfg.Peers[to], time.Until(deadline))
+		if err == nil {
+			if err = writeHello(conn, magic, t.rank, t.n); err == nil {
+				return conn, nil
+			}
+			conn.Close()
+		}
+		lastErr = err
+		time.Sleep(20 * time.Millisecond)
 	}
-	return res.err
+	return nil, fmt.Errorf("allreduce: rank %d dial rank %d (%s): %w", t.rank, to, t.cfg.Peers[to], lastErr)
 }
 
 // acceptLoop keeps serving the ring listener after bring-up: the only
@@ -288,20 +285,16 @@ func (t *TCPTransport) acceptLoop() {
 		if err != nil {
 			return
 		}
-		magic, from, workers, err := readHello(conn)
-		if err != nil || magic != tcpPeerMagic || workers != t.n || from < 0 || from >= t.n || from == t.rank {
+		if magic, from, err := readHello(conn, t.n, t.rank); err == nil && magic == tcpPeerMagic {
+			t.attach(t.peerLink(from), conn)
+		} else {
 			conn.Close()
-			continue
 		}
-		t.peerSlot(from).attach(conn)
 	}
 }
 
-func writeHello(conn net.Conn, rank, n int) error {
-	return writeHelloMagic(conn, tcpMagic, rank, n)
-}
-
-func writeHelloMagic(conn net.Conn, magic string, rank, n int) error {
+// writeHello sends the 12-byte connection preamble.
+func writeHello(conn net.Conn, magic string, rank, n int) error {
 	var buf [12]byte
 	copy(buf[:4], magic)
 	binary.LittleEndian.PutUint32(buf[4:8], uint32(rank))
@@ -310,30 +303,49 @@ func writeHelloMagic(conn net.Conn, magic string, rank, n int) error {
 	return err
 }
 
-func readHello(conn net.Conn) (magic string, rank, n int, err error) {
+// readHello reads a connection preamble (bounded by a 5s deadline) and
+// validates it with parseHello.
+func readHello(conn net.Conn, n, self int) (magic string, from int, err error) {
 	var buf [12]byte
 	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
 	defer conn.SetReadDeadline(time.Time{})
 	if _, err = io.ReadFull(conn, buf[:]); err != nil {
-		return "", 0, 0, err
+		return "", 0, err
+	}
+	return parseHello(buf[:], n, self)
+}
+
+// parseHello validates a preamble received by rank self of an n-rank ring:
+// a known magic, the same ring size, and a dialing rank that is another
+// member of the ring.
+func parseHello(buf []byte, n, self int) (magic string, from int, err error) {
+	if len(buf) < 12 {
+		return "", 0, fmt.Errorf("allreduce: short hello of %d bytes", len(buf))
 	}
 	magic = string(buf[:4])
 	if magic != tcpMagic && magic != tcpPeerMagic {
-		return "", 0, 0, fmt.Errorf("allreduce: bad hello magic %q", buf[:4])
+		return "", 0, fmt.Errorf("allreduce: bad hello magic %q", buf[:4])
 	}
-	return magic, int(binary.LittleEndian.Uint32(buf[4:8])), int(binary.LittleEndian.Uint32(buf[8:12])), nil
+	from64 := int64(binary.LittleEndian.Uint32(buf[4:8]))
+	if workers := binary.LittleEndian.Uint32(buf[8:12]); int64(workers) != int64(n) {
+		return "", 0, fmt.Errorf("allreduce: hello from a %d-rank ring, want %d", workers, n)
+	}
+	if from64 >= int64(n) || from64 == int64(self) {
+		return "", 0, fmt.Errorf("allreduce: hello from rank %d of %d (local rank %d)", from64, n, self)
+	}
+	return magic, int(from64), nil
 }
 
 // Workers returns the ring size.
 func (t *TCPTransport) Workers() int { return t.n }
 
-// Endpoint returns the local rank's endpoint and nil for every other rank:
-// remote ranks live in other processes.
-func (t *TCPTransport) Endpoint(rank int) Endpoint {
+// Endpoint returns the local rank's ring endpoint and nil for every other
+// rank: remote ranks live in other processes.
+func (t *TCPTransport) Endpoint(rank int) *Endpoint {
 	if rank != t.rank {
 		return nil
 	}
-	return (*tcpEndpoint)(t)
+	return &t.ring.ep
 }
 
 // Rank returns the local rank.
@@ -342,54 +354,53 @@ func (t *TCPTransport) Rank() int { return t.rank }
 // Stats snapshots the transport's wire counters.
 func (t *TCPTransport) Stats() TCPStats {
 	return TCPStats{
-		BytesSent:     atomic.LoadInt64(&t.bytesSent),
-		BytesReceived: atomic.LoadInt64(&t.bytesRecv),
-		MessagesSent:  atomic.LoadInt64(&t.msgsSent),
-		MessagesRecv:  atomic.LoadInt64(&t.msgsRecv),
-		Batches:       atomic.LoadInt64(&t.batches),
+		BytesSent:     t.bytesSent.Load(),
+		BytesReceived: t.bytesRecv.Load(),
+		MessagesSent:  t.msgsSent.Load(),
+		MessagesRecv:  t.msgsRecv.Load(),
+		Batches:       t.batches.Load(),
 	}
 }
 
-// Close tears the connections down. Messages already handed to Send are
-// flushed first (briefly bounded), so a rank that finishes its run and
-// closes does not strand its successor's final hops; only then do
-// in-flight and future hops fail promptly with ErrTransportClosed (or the
-// earlier fatal error).
+// Close tears the connections down. Every running writer first flushes
+// the messages already handed to Send (bounded at 2s in total), so a rank
+// that finishes its run and closes does not strand its successor's final
+// hops or the result a folded hd rank is owed; only then do in-flight and
+// future hops fail promptly with ErrTransportClosed (or the earlier fatal
+// error).
 func (t *TCPTransport) Close() error {
-	t.closed.Do(func() {
-		if t.started {
-			close(t.quit)
-			select {
-			case <-t.wDone:
-			case <-time.After(2 * time.Second):
-			}
-		}
+	t.once.Do(func() {
 		t.peersMu.Lock()
-		peers := make([]*tcpPeer, 0, len(t.peers))
-		for _, p := range t.peers {
-			peers = append(peers, p)
+		t.closing = true
+		links := []*tcpLink{t.ring}
+		for _, l := range t.peers {
+			links = append(links, l)
 		}
 		t.peersMu.Unlock()
-		for _, p := range peers {
-			p.drainClose()
+		drained := time.Now().Add(2 * time.Second)
+		for _, l := range links {
+			if l.running() {
+				close(l.quit)
+			}
 		}
-		t.fail(ErrTransportClosed)
+		for _, l := range links {
+			if l.running() {
+				select {
+				case <-l.wDone:
+				case <-time.After(time.Until(drained)):
+				}
+			}
+		}
 		if t.ln != nil {
 			t.ln.Close()
 		}
-		if t.sendConn != nil {
-			t.sendConn.Close()
-		}
-		if t.recvConn != nil {
-			t.recvConn.Close()
-		}
-		for _, p := range peers {
-			p.fail(ErrTransportClosed)
-			p.mu.Lock()
-			if p.conn != nil {
-				p.conn.Close()
+		for _, l := range links {
+			l.fault.fail(ErrTransportClosed)
+			for _, c := range [2]net.Conn{l.w, l.r} {
+				if c != nil {
+					c.Close()
+				}
 			}
-			p.mu.Unlock()
 		}
 		t.wg.Wait()
 	})
@@ -399,19 +410,29 @@ func (t *TCPTransport) Close() error {
 // ErrTransportClosed reports a hop attempted on a closed transport.
 var ErrTransportClosed = errors.New("allreduce: transport closed")
 
-// fail records the first fatal error and releases every blocked hop.
-func (t *TCPTransport) fail(err error) {
-	t.closeErr.Do(func() {
-		t.err.Store(err)
-		close(t.done)
-	})
+// bufPool recycles message buffers from a transport's writers to its
+// readers. Best-effort both ways: a full pool drops a buffer, an empty one
+// yields nil.
+type bufPool chan []float64
+
+func (p bufPool) put(buf []float64) {
+	select {
+	case p <- buf:
+	default:
+	}
 }
 
-func (t *TCPTransport) fatal() error {
-	if err, ok := t.err.Load().(error); ok {
-		return err
+// get returns an empty recycled buffer with room for count elements, or
+// nil.
+func (p bufPool) get(count int) []float64 {
+	select {
+	case buf := <-p:
+		if cap(buf) >= count {
+			return buf[:0]
+		}
+	default:
 	}
-	return ErrTransportClosed
+	return nil
 }
 
 // lingerControl tunes BatchAuto's send-side coalescing delay from observed
@@ -476,92 +497,151 @@ func (lc *lingerControl) next(now time.Time, pending int) time.Duration {
 	return lc.delay
 }
 
-// writeLoop drains the send queue onto the socket, coalescing bursts of
-// ring hops into single buffered writes — the swiftpaxos batching recipe:
-// take one message, optionally linger BatchDelay, then drain everything
-// pending and flush once. With BatchAuto the linger follows lingerControl:
-// bounded by the observed arrival cadence, reset to zero after idle gaps,
-// and skipped entirely when messages are already queued.
-func (t *TCPTransport) writeLoop() {
-	defer t.wg.Done()
-	defer close(t.wDone)
-	w := bufio.NewWriterSize(t.sendConn, 256<<10)
-	var frame []byte // per-writer scratch: grows to the largest frame once
-	delay := t.cfg.BatchDelay
-	adaptive := delay < 0
-	var lc lingerControl
-	for {
-		// Note no done case: done may fire because the *read* side saw a
-		// finished peer close (EOF) while the successor still needs our
-		// queued and future sends, so the writer keeps serving sendQ until
-		// graceful close (quit) or its own write error below.
-		var msg []float64
-		select {
-		case msg = <-t.sendQ:
-		case <-t.quit:
-			t.drainSends(w, &frame)
-			return
-		}
-		if adaptive {
-			delay = lc.next(time.Now(), len(t.sendQ))
-		}
-		if delay > 0 {
-			time.Sleep(delay)
-		}
-		batch := int64(0)
-		bytes := int64(0)
-		for {
-			n, err := writeFrame(w, msg, &frame)
-			t.recycle(msg)
-			if err != nil {
-				t.fail(fmt.Errorf("allreduce: rank %d send to %d: %w", t.rank, (t.rank+1)%t.n, err))
-				return
-			}
-			batch++
-			bytes += n
-			select {
-			case msg = <-t.sendQ:
-				continue
-			default:
-			}
-			break
-		}
-		if err := w.Flush(); err != nil {
-			t.fail(fmt.Errorf("allreduce: rank %d flush to %d: %w", t.rank, (t.rank+1)%t.n, err))
-			return
-		}
-		atomic.AddInt64(&t.batches, 1)
-		atomic.AddInt64(&t.msgsSent, batch)
-		atomic.AddInt64(&t.bytesSent, bytes)
+// tcpLink is one TCP link: an Endpoint whose send queue a writer
+// goroutine drains onto a socket and whose receive queue a reader
+// goroutine fills from one. The ring link writes to the successor's
+// socket and reads the predecessor's; a peer link reads and writes one
+// socket. The two roles differ only in linger (the ring link batches by
+// BatchDelay, peer links carry latency-bound hd rounds and flush at once),
+// buffer size, and failure scope (the ring link shares the transport's
+// fault, a peer link has its own). Wire counters are transport-wide.
+type tcpLink struct {
+	t            *TCPTransport
+	ep           Endpoint
+	sendQ, recvQ chan []float64
+	fault        *linkFault
+	linger       time.Duration
+	bufSize      int
+	dst, src     string   // remote ends, for error messages
+	w, r         net.Conn // written and read sockets, set before start
+
+	ready chan struct{} // closed once the loops run
+	quit  chan struct{} // graceful close: the writer drains, flushes, exits
+	wDone chan struct{} // closed when the writer exits
+
+	dialOnce sync.Once // peer links: the lower rank dials once
+}
+
+func (t *TCPTransport) newLink(fault *linkFault, linger time.Duration, bufSize int, dst, src string) *tcpLink {
+	l := &tcpLink{
+		t: t, fault: fault, linger: linger, bufSize: bufSize, dst: dst, src: src,
+		sendQ: make(chan []float64, t.cfg.Depth),
+		recvQ: make(chan []float64, t.cfg.Depth),
+		ready: make(chan struct{}),
+		quit:  make(chan struct{}),
+		wDone: make(chan struct{}),
+	}
+	l.ep = Endpoint{out: l.sendQ, in: l.recvQ, done: fault.done, fault: fault}
+	return l
+}
+
+// start runs the link's writer and reader on its sockets.
+func (l *tcpLink) start() {
+	l.t.wg.Add(2)
+	go l.writeLoop()
+	go l.readLoop()
+	close(l.ready)
+}
+
+func (l *tcpLink) running() bool {
+	select {
+	case <-l.ready:
+		return true
+	default:
+		return false
 	}
 }
 
-// drainSends writes and flushes every message still queued at graceful
-// close, so the successor's pending hops complete before the socket drops.
-func (t *TCPTransport) drainSends(w *bufio.Writer, frame *[]byte) {
-	batch := int64(0)
-	bytes := int64(0)
+// writeLoop drains the send queue onto the socket, coalescing bursts of
+// hops into single buffered writes — the swiftpaxos batching recipe: take
+// one message, optionally linger, then drain everything pending and flush
+// once. With BatchAuto the linger follows lingerControl: bounded by the
+// observed arrival cadence, reset to zero after idle gaps, and skipped
+// entirely when messages are already queued. There is no done case: done
+// may fire because the read side saw a finished peer close (EOF) while
+// the remote side still needs our queued and future sends, so the writer
+// serves the queue until graceful close (quit) or its own write error.
+func (l *tcpLink) writeLoop() {
+	defer l.t.wg.Done()
+	defer close(l.wDone)
+	w := bufio.NewWriterSize(l.w, l.bufSize)
+	var frame []byte // per-writer scratch: grows to the largest frame once
+	delay := l.linger
+	var lc lingerControl
 	for {
 		select {
-		case msg := <-t.sendQ:
-			n, err := writeFrame(w, msg, frame)
-			t.recycle(msg)
-			if err != nil {
+		case msg := <-l.sendQ:
+			if l.linger < 0 {
+				delay = lc.next(time.Now(), len(l.sendQ))
+			}
+			if delay > 0 {
+				time.Sleep(delay)
+			}
+			if err := l.flush(w, msg, &frame); err != nil {
+				l.fault.fail(fmt.Errorf("allreduce: rank %d send to %s: %w", l.t.rank, l.dst, err))
 				return
 			}
-			batch++
-			bytes += n
-		default:
-			if batch > 0 {
-				if err := w.Flush(); err != nil {
-					return
-				}
-				atomic.AddInt64(&t.batches, 1)
-				atomic.AddInt64(&t.msgsSent, batch)
-				atomic.AddInt64(&t.bytesSent, bytes)
-			} else {
-				w.Flush()
+		case <-l.quit:
+			// Graceful close: what is already queued still goes out. The
+			// writer exits either way; a lost flush reaches the remote
+			// side as EOF.
+			select {
+			case msg := <-l.sendQ:
+				_ = l.flush(w, msg, &frame)
+			default:
 			}
+			return
+		}
+	}
+}
+
+// flush writes msg and every message queued behind it as one batch, then
+// flushes the batch onto the socket.
+func (l *tcpLink) flush(w *bufio.Writer, msg []float64, frame *[]byte) error {
+	t := l.t
+	batch, bytes := int64(0), int64(0)
+	for {
+		n, err := writeFrame(w, msg, frame)
+		t.free.put(msg)
+		if err != nil {
+			return err
+		}
+		batch++
+		bytes += n
+		select {
+		case msg = <-l.sendQ:
+			continue
+		default:
+		}
+		break
+	}
+	if err := w.Flush(); err != nil {
+		return err
+	}
+	t.batches.Add(1)
+	t.msgsSent.Add(batch)
+	t.bytesSent.Add(bytes)
+	return nil
+}
+
+// readLoop decodes messages off the stream into the receive queue, reusing
+// buffers the writers retired.
+func (l *tcpLink) readLoop() {
+	t := l.t
+	defer t.wg.Done()
+	r := bufio.NewReaderSize(l.r, l.bufSize)
+	var rbuf []byte
+	for {
+		msg, err := readFrame(r, &rbuf, t.free)
+		if err != nil {
+			l.fault.fail(fmt.Errorf("allreduce: rank %d recv from %s: %w", t.rank, l.src, err))
+			return
+		}
+		t.msgsRecv.Add(1)
+		t.bytesRecv.Add(int64(4 + 8*len(msg)))
+		select {
+		case l.recvQ <- msg:
+		case <-l.fault.done:
 			return
 		}
 	}
@@ -590,11 +670,17 @@ func writeFrame(w *bufio.Writer, msg []float64, frame *[]byte) (int64, error) {
 	return int64(need), nil
 }
 
-// readFrame decodes one length-prefixed message off the stream. The payload
-// lands in *rbuf (per-reader scratch, grown once) before being unpacked
-// into a recycled []float64 from take — steady-state reads allocate
-// nothing.
-func (t *TCPTransport) readFrame(r *bufio.Reader, rbuf *[]byte) ([]float64, error) {
+// frameChunk bounds one read of a frame's payload. The reader's byte
+// scratch never exceeds it, and a message buffer grows chunk by chunk as
+// payload arrives rather than from the length prefix alone, so a corrupt
+// or hostile prefix cannot make the reader allocate what the peer never
+// sends.
+const frameChunk = 64 << 10
+
+// readFrame decodes one length-prefixed message off the stream into a
+// buffer from pool; *rbuf is per-reader byte scratch. Once the scratch and
+// the pool are warm, reads allocate nothing.
+func readFrame(r *bufio.Reader, rbuf *[]byte, pool bufPool) ([]float64, error) {
 	// The length prefix lands in the scratch buffer too: a stack [4]byte
 	// would escape through the io.Reader interface and cost one heap
 	// allocation per frame.
@@ -610,165 +696,24 @@ func (t *TCPTransport) readFrame(r *bufio.Reader, rbuf *[]byte) ([]float64, erro
 	if count > tcpMaxMsgLen {
 		return nil, fmt.Errorf("frame of %d elements", count)
 	}
-	need := 8 * count
-	if cap(buf) < need {
-		buf = make([]byte, need)
-		*rbuf = buf
-	}
-	buf = buf[:need]
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, err
-	}
-	msg := t.take(count)
-	for i := range msg {
-		msg[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*i:]))
+	msg := pool.get(count)
+	for len(msg) < count {
+		step := min(count-len(msg), frameChunk/8)
+		if cap(buf) < 8*step {
+			buf = make([]byte, 8*step)
+			*rbuf = buf
+		}
+		b := buf[:8*step]
+		if _, err := io.ReadFull(r, b); err != nil {
+			return nil, err
+		}
+		at := len(msg)
+		msg = slices.Grow(msg, step)[:at+step]
+		for i := range msg[at:] {
+			msg[at+i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+		}
 	}
 	return msg, nil
-}
-
-// readLoop decodes messages off the predecessor's stream into the receive
-// queue, reusing buffers the writer retired.
-func (t *TCPTransport) readLoop() {
-	defer t.wg.Done()
-	r := bufio.NewReaderSize(t.recvConn, 256<<10)
-	var rbuf []byte
-	for {
-		msg, err := t.readFrame(r, &rbuf)
-		if err != nil {
-			t.fail(fmt.Errorf("allreduce: rank %d recv from %d: %w", t.rank, (t.rank-1+t.n)%t.n, err))
-			return
-		}
-		atomic.AddInt64(&t.msgsRecv, 1)
-		atomic.AddInt64(&t.bytesRecv, int64(4+8*len(msg)))
-		select {
-		case t.recvQ <- msg:
-		case <-t.done:
-			return
-		}
-	}
-}
-
-// take returns a message buffer of the given element count, preferring a
-// recycled one.
-func (t *TCPTransport) take(count int) []float64 {
-	select {
-	case buf := <-t.free:
-		if cap(buf) >= count {
-			return buf[:count]
-		}
-	default:
-	}
-	return make([]float64, count)
-}
-
-// recycle parks a retired buffer for the reader (best-effort: dropped when
-// the pool is full).
-func (t *TCPTransport) recycle(buf []float64) {
-	select {
-	case t.free <- buf:
-	default:
-	}
-}
-
-// tcpEndpoint adapts the transport to the local rank's Endpoint. Deadline
-// semantics live here, on the queues: a peer that stalls starves recvQ (or
-// backs sendQ up) and the policy timer fires ErrHopTimeout; a peer whose
-// socket breaks trips done and the hop fails immediately with the socket
-// error. That is the whole failure-semantics mapping — RingFault blame on
-// top is transport-independent.
-type tcpEndpoint TCPTransport
-
-func (e *tcpEndpoint) t() *TCPTransport { return (*TCPTransport)(e) }
-
-func (e *tcpEndpoint) Send(msg []float64) error {
-	t := e.t()
-	select {
-	case t.sendQ <- msg:
-		return nil
-	case <-t.done:
-		// done may stem from a read-side failure while the send socket is
-		// healthy and the writer still running — prefer handing the
-		// message over (the successor may need it) and fail only when the
-		// queue is genuinely stuck.
-		select {
-		case t.sendQ <- msg:
-			return nil
-		default:
-			return t.fatal()
-		}
-	}
-}
-
-func (e *tcpEndpoint) Recv() ([]float64, error) {
-	t := e.t()
-	select {
-	case msg := <-t.recvQ:
-		return msg, nil
-	case <-t.done:
-		// done often fires from EOF when a finished peer closes; the
-		// reader enqueues every delivered message before it can fail, so
-		// a final queue check cannot miss data that arrived pre-EOF —
-		// without it this select could randomly prefer done over a
-		// non-empty queue and strand the run's last hops.
-		select {
-		case msg := <-t.recvQ:
-			return msg, nil
-		default:
-			return nil, t.fatal()
-		}
-	}
-}
-
-func (e *tcpEndpoint) SendTimed(msg []float64, p RetryPolicy) error {
-	t := e.t()
-	d := p.HopTimeout
-	timer := armTimer(&t.sendTimer, d)
-	defer timer.Stop()
-	for attempt := 0; ; attempt++ {
-		select {
-		case t.sendQ <- msg:
-			return nil
-		case <-t.done:
-			select { // see Send: the writer may still be serving the queue
-			case t.sendQ <- msg:
-				return nil
-			default:
-				return t.fatal()
-			}
-		case <-timer.C:
-			if attempt >= p.Retries {
-				return ErrHopTimeout
-			}
-			d = nextDeadline(d, p)
-			timer.Reset(d)
-		}
-	}
-}
-
-func (e *tcpEndpoint) RecvTimed(p RetryPolicy) ([]float64, error) {
-	t := e.t()
-	d := p.HopTimeout
-	timer := armTimer(&t.recvTimer, d)
-	defer timer.Stop()
-	for attempt := 0; ; attempt++ {
-		select {
-		case msg := <-t.recvQ:
-			return msg, nil
-		case <-t.done:
-			select { // see Recv: drain data delivered before the failure
-			case msg := <-t.recvQ:
-				return msg, nil
-			default:
-				return nil, t.fatal()
-			}
-		case <-timer.C:
-			if attempt >= p.Retries {
-				return nil, ErrHopTimeout
-			}
-			d = nextDeadline(d, p)
-			timer.Reset(d)
-		}
-	}
 }
 
 // Peer returns the local rank's endpoint on a dedicated socket to peer,
@@ -776,317 +721,67 @@ func (e *tcpEndpoint) RecvTimed(p RetryPolicy) ([]float64, error) {
 // ring listener with a tcpPeerMagic hello, the higher rank's accept loop
 // attaches the connection. Blocks until the link is up or the dial timeout
 // lapses. Peer links carry halving-doubling's non-neighbor exchanges; a
-// broken one fails its own hops only, never the ring connections.
-func (t *TCPTransport) Peer(rank, peer int) (Endpoint, error) {
+// broken one fails its own hops only, never the ring link.
+func (t *TCPTransport) Peer(rank, peer int) (*Endpoint, error) {
 	if rank != t.rank {
 		return nil, fmt.Errorf("allreduce: rank %d is not local to this transport (local rank %d)", rank, t.rank)
 	}
 	if peer < 0 || peer >= t.n || peer == rank {
 		return nil, fmt.Errorf("allreduce: no peer link %d→%d in a %d-rank transport", rank, peer, t.n)
 	}
-	p := t.peerSlot(peer)
+	l := t.peerLink(peer)
 	if rank < peer {
-		p.dialOnce.Do(func() { go p.dial() })
+		l.dialOnce.Do(func() {
+			go func() {
+				conn, err := t.dial(peer, tcpPeerMagic)
+				if err != nil {
+					l.fault.fail(err)
+					return
+				}
+				t.attach(l, conn)
+			}()
+		})
 	}
 	select {
-	case <-p.ready:
-		return p, nil
-	case <-p.done:
-		return nil, p.fatal()
-	case <-t.done:
-		return nil, t.fatal()
+	case <-l.ready:
+		return &l.ep, nil
+	case <-l.fault.done:
+		return nil, l.fault.err
+	case <-t.fault.done:
+		return nil, t.fault.err
 	case <-time.After(t.cfg.DialTimeout):
 		return nil, fmt.Errorf("allreduce: rank %d: peer link to %d not up within %v", rank, peer, t.cfg.DialTimeout)
 	}
 }
 
-// peerSlot returns (creating if needed) the slot tracking the link to peer.
-func (t *TCPTransport) peerSlot(peer int) *tcpPeer {
+// peerLink returns (creating if needed) the link to peer.
+func (t *TCPTransport) peerLink(peer int) *tcpLink {
 	t.peersMu.Lock()
 	defer t.peersMu.Unlock()
-	p := t.peers[peer]
-	if p == nil {
-		p = &tcpPeer{
-			t:     t,
-			peer:  peer,
-			sendQ: make(chan []float64, t.cfg.Depth),
-			recvQ: make(chan []float64, t.cfg.Depth),
-			ready: make(chan struct{}),
-			done:  make(chan struct{}),
-			wDone: make(chan struct{}),
-		}
+	l := t.peers[peer]
+	if l == nil {
+		name := fmt.Sprintf("peer %d", peer)
+		l = t.newLink(newLinkFault(), 0, 64<<10, name, name)
 		if t.peers == nil {
-			t.peers = make(map[int]*tcpPeer)
+			t.peers = make(map[int]*tcpLink)
 		}
-		t.peers[peer] = p
+		t.peers[peer] = l
 	}
-	return p
+	return l
 }
 
-// tcpPeer is one direct link to a non-neighbor rank: a dedicated socket
-// with its own reader/writer loops and queues, implementing Endpoint with
-// the same deadline-on-queue semantics as the ring endpoint. Failure is
-// per-link: done here fires for this peer's socket only.
-type tcpPeer struct {
-	t    *TCPTransport
-	peer int
-
-	mu   sync.Mutex
-	conn net.Conn
-
-	sendQ chan []float64
-	recvQ chan []float64
-
-	ready    chan struct{} // closed once the link is attached and serving
-	done     chan struct{} // closed on this link's first fatal error
-	wDone    chan struct{} // writer exited (drain complete or failed)
-	dialOnce sync.Once
-	attachOn sync.Once
-	failOn   sync.Once
-	err      atomic.Value
-
-	sendTimer *time.Timer
-	recvTimer *time.Timer
-}
-
-// dial connects to the peer's listener (retrying while it boots) and
-// attaches the socket. Runs once, on the lower-ranked side.
-func (p *tcpPeer) dial() {
-	t := p.t
-	deadline := time.Now().Add(t.cfg.DialTimeout)
-	var lastErr error
-	for time.Now().Before(deadline) {
-		select {
-		case <-t.done:
-			p.fail(t.fatal())
-			return
-		default:
-		}
-		conn, err := net.DialTimeout("tcp", t.cfg.Peers[p.peer], time.Until(deadline))
-		if err == nil {
-			if err = writeHelloMagic(conn, tcpPeerMagic, t.rank, t.n); err == nil {
-				p.attach(conn)
-				return
-			}
-			conn.Close()
-		}
-		lastErr = err
-		time.Sleep(20 * time.Millisecond)
-	}
-	p.fail(fmt.Errorf("allreduce: rank %d dial peer %d (%s): %w", t.rank, p.peer, t.cfg.Peers[p.peer], lastErr))
-}
-
-// attach wires a connected socket into the slot and starts its loops; a
-// duplicate connection (possible only from protocol misuse) is dropped.
-func (p *tcpPeer) attach(conn net.Conn) {
-	used := false
-	p.attachOn.Do(func() {
-		select {
-		case <-p.t.done:
-			// Transport already closing: refuse, the conn is closed below.
-			return
-		default:
-		}
-		p.mu.Lock()
-		p.conn = conn
-		p.mu.Unlock()
-		used = true
-		p.t.wg.Add(2)
-		go p.writeLoop()
-		go p.readLoop()
-		close(p.ready)
-	})
-	if !used {
+// attach wires a connected socket into a peer link and starts its loops.
+// A duplicate connection (possible only from protocol misuse) or one that
+// arrives once Close has begun is dropped.
+func (t *TCPTransport) attach(l *tcpLink, conn net.Conn) {
+	t.peersMu.Lock()
+	defer t.peersMu.Unlock()
+	if t.closing || l.running() {
 		conn.Close()
-	}
-}
-
-// fail records the link's first fatal error and releases its blocked hops.
-func (p *tcpPeer) fail(err error) {
-	p.failOn.Do(func() {
-		p.err.Store(err)
-		close(p.done)
-	})
-}
-
-func (p *tcpPeer) fatal() error {
-	if err, ok := p.err.Load().(error); ok {
-		return err
-	}
-	return ErrTransportClosed
-}
-
-// drainClose gives the writer a bounded chance to flush queued messages
-// (the post-step result a folded rank is owed, say) before Close drops the
-// socket. Only meaningful once attached.
-func (p *tcpPeer) drainClose() {
-	select {
-	case <-p.ready:
-	default:
 		return
 	}
-	p.fail(ErrTransportClosed) // writer sees done, drains, exits
-	select {
-	case <-p.wDone:
-	case <-time.After(2 * time.Second):
-	}
-}
-
-// writeLoop serves the peer link's send queue. Peer traffic is
-// latency-bound halving-doubling rounds, so every message flushes
-// immediately — no linger — though anything already queued coalesces into
-// the same flush. Counts into the transport's wire totals.
-func (p *tcpPeer) writeLoop() {
-	t := p.t
-	defer t.wg.Done()
-	defer close(p.wDone)
-	w := bufio.NewWriterSize(p.conn, 64<<10)
-	var frame []byte
-	for {
-		var msg []float64
-		select {
-		case msg = <-p.sendQ:
-		case <-p.done:
-			// Graceful close: drain what's queued, flush, exit.
-			for {
-				select {
-				case msg := <-p.sendQ:
-					if _, err := writeFrame(w, msg, &frame); err != nil {
-						return
-					}
-					t.recycle(msg)
-				default:
-					w.Flush()
-					return
-				}
-			}
-		}
-		batch := int64(0)
-		bytes := int64(0)
-		for {
-			n, err := writeFrame(w, msg, &frame)
-			t.recycle(msg)
-			if err != nil {
-				p.fail(fmt.Errorf("allreduce: rank %d send to peer %d: %w", t.rank, p.peer, err))
-				return
-			}
-			batch++
-			bytes += n
-			select {
-			case msg = <-p.sendQ:
-				continue
-			default:
-			}
-			break
-		}
-		if err := w.Flush(); err != nil {
-			p.fail(fmt.Errorf("allreduce: rank %d flush to peer %d: %w", t.rank, p.peer, err))
-			return
-		}
-		atomic.AddInt64(&t.batches, 1)
-		atomic.AddInt64(&t.msgsSent, batch)
-		atomic.AddInt64(&t.bytesSent, bytes)
-	}
-}
-
-// readLoop decodes the peer's stream into the link's receive queue.
-func (p *tcpPeer) readLoop() {
-	t := p.t
-	defer t.wg.Done()
-	r := bufio.NewReaderSize(p.conn, 64<<10)
-	var rbuf []byte
-	for {
-		msg, err := t.readFrame(r, &rbuf)
-		if err != nil {
-			p.fail(fmt.Errorf("allreduce: rank %d recv from peer %d: %w", t.rank, p.peer, err))
-			return
-		}
-		atomic.AddInt64(&t.msgsRecv, 1)
-		atomic.AddInt64(&t.bytesRecv, int64(4+8*len(msg)))
-		select {
-		case p.recvQ <- msg:
-		case <-p.done:
-			return
-		}
-	}
-}
-
-func (p *tcpPeer) Send(msg []float64) error {
-	select {
-	case p.sendQ <- msg:
-		return nil
-	case <-p.done:
-		select { // the writer drains the queue on close; prefer handing over
-		case p.sendQ <- msg:
-			return nil
-		default:
-			return p.fatal()
-		}
-	}
-}
-
-func (p *tcpPeer) Recv() ([]float64, error) {
-	select {
-	case msg := <-p.recvQ:
-		return msg, nil
-	case <-p.done:
-		select { // drain data delivered before the failure (see tcpEndpoint)
-		case msg := <-p.recvQ:
-			return msg, nil
-		default:
-			return nil, p.fatal()
-		}
-	}
-}
-
-func (p *tcpPeer) SendTimed(msg []float64, pol RetryPolicy) error {
-	d := pol.HopTimeout
-	timer := armTimer(&p.sendTimer, d)
-	defer timer.Stop()
-	for attempt := 0; ; attempt++ {
-		select {
-		case p.sendQ <- msg:
-			return nil
-		case <-p.done:
-			select {
-			case p.sendQ <- msg:
-				return nil
-			default:
-				return p.fatal()
-			}
-		case <-timer.C:
-			if attempt >= pol.Retries {
-				return ErrHopTimeout
-			}
-			d = nextDeadline(d, pol)
-			timer.Reset(d)
-		}
-	}
-}
-
-func (p *tcpPeer) RecvTimed(pol RetryPolicy) ([]float64, error) {
-	d := pol.HopTimeout
-	timer := armTimer(&p.recvTimer, d)
-	defer timer.Stop()
-	for attempt := 0; ; attempt++ {
-		select {
-		case msg := <-p.recvQ:
-			return msg, nil
-		case <-p.done:
-			select {
-			case msg := <-p.recvQ:
-				return msg, nil
-			default:
-				return nil, p.fatal()
-			}
-		case <-timer.C:
-			if attempt >= pol.Retries {
-				return nil, ErrHopTimeout
-			}
-			d = nextDeadline(d, pol)
-			timer.Reset(d)
-		}
-	}
+	l.w, l.r = conn, conn
+	l.start()
 }
 
 // ReserveRingAddrs binds n loopback listeners on kernel-assigned ports and

@@ -29,7 +29,7 @@ type Transport interface {
 	// Endpoint returns rank's attachment to the ring, or nil when that rank
 	// is not local to this transport instance (a TCPTransport holds exactly
 	// one local rank; a ChanTransport holds all of them).
-	Endpoint(rank int) Endpoint
+	Endpoint(rank int) *Endpoint
 	// Close tears the links down. Blocked and future endpoint operations
 	// fail promptly after Close.
 	Close() error
@@ -49,28 +49,128 @@ type PeerTransport interface {
 	// yields one stable endpoint, safe for a single goroutine like the ring
 	// endpoints. Errors when either rank is out of range, rank == peer, or
 	// rank is not local to this transport instance.
-	Peer(rank, peer int) (Endpoint, error)
+	Peer(rank, peer int) (*Endpoint, error)
 }
 
-// Endpoint is one rank's pair of neighbor links. Buffer ownership follows
-// message flow: Send transfers ownership of msg to the transport, and Recv
-// transfers ownership of the returned buffer to the caller — exactly the
-// contract Ring's circulating-buffer scheme is built on, which is what
-// keeps steady-state channel reduces allocation-free.
-type Endpoint interface {
-	// Send hands msg to the successor link, blocking until the transport
-	// accepts it. A non-nil error means the link is broken (remote
-	// transports only; channel sends cannot fail).
-	Send(msg []float64) error
-	// Recv returns the next message from the predecessor, blocking until
-	// one arrives or the link breaks.
-	Recv() ([]float64, error)
-	// SendTimed is Send bounded by the policy's retry budget: each attempt
-	// waits one deadline, the deadline grows by Backoff per retry, and
-	// exhaustion returns an error wrapping ErrHopTimeout.
-	SendTimed(msg []float64, p RetryPolicy) error
-	// RecvTimed is Recv under the same bounded budget.
-	RecvTimed(p RetryPolicy) ([]float64, error)
+// Endpoint is one rank's attachment to one link: a send queue toward the
+// remote side and a receive queue from it. It is the only link type in the
+// package. A channel link hands its queues straight to the remote rank's
+// endpoint; a TCP link (tcp.go) puts a writer and a reader goroutine
+// behind the same two queues. Buffer ownership follows message flow: Send
+// transfers ownership of msg to the link, and Recv transfers ownership of
+// the returned buffer to the caller — the contract the circulating-buffer
+// scheme is built on, which keeps steady-state collectives
+// allocation-free. An endpoint is driven from its rank's single goroutine.
+type Endpoint struct {
+	out chan<- []float64
+	in  <-chan []float64
+	// done closes on the link's first fatal error, which fault then holds.
+	// Nil for channel links: they cannot break, and a nil channel never
+	// fires.
+	done  <-chan struct{}
+	fault *linkFault
+	// Hop deadline timers, reused across guarded hops: a fresh runtime
+	// timer per hop is measurable steady-state GC pressure.
+	sendTimer, recvTimer *time.Timer
+}
+
+// linkFault is a link's sticky first fatal error: fail records it and
+// closes done, which releases every hop blocked on the link.
+type linkFault struct {
+	once sync.Once
+	done chan struct{}
+	err  error // set before done closes
+}
+
+func newLinkFault() *linkFault { return &linkFault{done: make(chan struct{})} }
+
+func (f *linkFault) fail(err error) {
+	f.once.Do(func() {
+		f.err = err
+		close(f.done)
+	})
+}
+
+// deadline arms *tp with the policy's first hop deadline and returns its
+// channel, or nil (never fires) under the zero policy. Go 1.23+ timer
+// semantics (Reset flushes a stale fire) make the bare Reset race-free for
+// a single-goroutine owner.
+func deadline(tp **time.Timer, p RetryPolicy) <-chan time.Time {
+	if p.HopTimeout <= 0 {
+		return nil
+	}
+	if *tp == nil {
+		*tp = time.NewTimer(p.HopTimeout)
+	} else {
+		(*tp).Reset(p.HopTimeout)
+	}
+	return (*tp).C
+}
+
+// Send hands msg to the link. The zero policy waits as long as it takes;
+// a guarded one bounds the wait: each attempt waits one deadline, the
+// deadline grows by Backoff per retry, and exhaustion returns
+// ErrHopTimeout. A broken link fails with its sticky error, unless the
+// queue still has room: done may stem from the read side seeing a
+// finished peer's EOF while the writer still serves the queue, and the
+// remote rank may need this message.
+func (e *Endpoint) Send(msg []float64, p RetryPolicy) error {
+	timeout := deadline(&e.sendTimer, p)
+	if timeout != nil {
+		defer e.sendTimer.Stop()
+	}
+	d := p.HopTimeout
+	for attempt := 0; ; attempt++ {
+		select {
+		case e.out <- msg:
+			return nil
+		case <-e.done:
+			select {
+			case e.out <- msg:
+				return nil
+			default:
+				return e.fault.err
+			}
+		case <-timeout:
+			if attempt >= p.Retries {
+				return ErrHopTimeout
+			}
+			d = nextDeadline(d, p)
+			e.sendTimer.Reset(d)
+		}
+	}
+}
+
+// Recv returns the next message from the link under the same policy as
+// Send. A broken link still yields the messages that arrived before the
+// failure: a reader queues every delivered message before it can fail, so
+// the final queue check cannot miss data sent ahead of a finished peer's
+// EOF.
+func (e *Endpoint) Recv(p RetryPolicy) ([]float64, error) {
+	timeout := deadline(&e.recvTimer, p)
+	if timeout != nil {
+		defer e.recvTimer.Stop()
+	}
+	d := p.HopTimeout
+	for attempt := 0; ; attempt++ {
+		select {
+		case msg := <-e.in:
+			return msg, nil
+		case <-e.done:
+			select {
+			case msg := <-e.in:
+				return msg, nil
+			default:
+				return nil, e.fault.err
+			}
+		case <-timeout:
+			if attempt >= p.Retries {
+				return nil, ErrHopTimeout
+			}
+			d = nextDeadline(d, p)
+			e.recvTimer.Reset(d)
+		}
+	}
 }
 
 // ChanTransport is the in-process transport: n buffered FIFO channels, one
@@ -81,14 +181,14 @@ type ChanTransport struct {
 	n     int
 	depth int
 	links []chan []float64
-	eps   []chanEndpoint
+	eps   []Endpoint
 
 	// Peer links are built lazily under peersMu: most reduces are plain
 	// rings and should not pay for an n² mesh. Each ordered (from, to) pair
 	// has one directed channel; an endpoint pairs the two directions.
 	peersMu   sync.Mutex
 	peerLinks map[chanPeerKey]chan []float64
-	peerEps   map[chanPeerKey]*chanEndpoint
+	peerEps   map[chanPeerKey]*Endpoint
 }
 
 // chanPeerKey identifies one directed peer channel (and, keyed by the
@@ -105,12 +205,12 @@ func NewChanTransport(n, depth int) (*ChanTransport, error) {
 	if depth < 1 {
 		depth = 1
 	}
-	t := &ChanTransport{n: n, depth: depth, links: make([]chan []float64, n), eps: make([]chanEndpoint, n)}
+	t := &ChanTransport{n: n, depth: depth, links: make([]chan []float64, n), eps: make([]Endpoint, n)}
 	for i := range t.links {
 		t.links[i] = make(chan []float64, depth)
 	}
 	for i := range t.eps {
-		t.eps[i] = chanEndpoint{out: t.links[i], in: t.links[(i-1+n)%n]}
+		t.eps[i] = Endpoint{out: t.links[i], in: t.links[(i-1+n)%n]}
 	}
 	return t, nil
 }
@@ -119,7 +219,7 @@ func NewChanTransport(n, depth int) (*ChanTransport, error) {
 func (t *ChanTransport) Workers() int { return t.n }
 
 // Endpoint returns rank's endpoint (every rank is local to a ChanTransport).
-func (t *ChanTransport) Endpoint(rank int) Endpoint {
+func (t *ChanTransport) Endpoint(rank int) *Endpoint {
 	if rank < 0 || rank >= t.n {
 		return nil
 	}
@@ -129,7 +229,7 @@ func (t *ChanTransport) Endpoint(rank int) Endpoint {
 // Peer returns rank's endpoint on the direct link to peer, creating the
 // two directed channels on first use. Endpoints are cached per ordered
 // pair so the guarded ops' per-direction timers stay single-owner.
-func (t *ChanTransport) Peer(rank, peer int) (Endpoint, error) {
+func (t *ChanTransport) Peer(rank, peer int) (*Endpoint, error) {
 	if rank < 0 || rank >= t.n || peer < 0 || peer >= t.n || rank == peer {
 		return nil, fmt.Errorf("allreduce: no peer link %d→%d in a %d-rank transport", rank, peer, t.n)
 	}
@@ -141,7 +241,7 @@ func (t *ChanTransport) Peer(rank, peer int) (Endpoint, error) {
 	}
 	if t.peerLinks == nil {
 		t.peerLinks = make(map[chanPeerKey]chan []float64)
-		t.peerEps = make(map[chanPeerKey]*chanEndpoint)
+		t.peerEps = make(map[chanPeerKey]*Endpoint)
 	}
 	link := func(from, to int) chan []float64 {
 		k := chanPeerKey{from, to}
@@ -152,7 +252,7 @@ func (t *ChanTransport) Peer(rank, peer int) (Endpoint, error) {
 		}
 		return ch
 	}
-	ep := &chanEndpoint{out: link(rank, peer), in: link(peer, rank)}
+	ep := &Endpoint{out: link(rank, peer), in: link(peer, rank)}
 	t.peerEps[key] = ep
 	return ep, nil
 }
@@ -160,79 +260,3 @@ func (t *ChanTransport) Peer(rank, peer int) (Endpoint, error) {
 // Close is a no-op: channel links hold no external resources, and leaving
 // them open keeps in-flight reduces on other goroutines well-defined.
 func (t *ChanTransport) Close() error { return nil }
-
-// chanEndpoint adapts one rank's channel pair to the Endpoint interface.
-// The timers are per-direction scratch for the guarded ops: hop deadlines
-// fire on every guarded hop, and allocating a fresh runtime timer each time
-// is measurable steady-state GC pressure (the guarded path's analogue of
-// the circulating message buffers). Safe because an endpoint is driven from
-// its rank's single goroutine.
-type chanEndpoint struct {
-	out chan<- []float64
-	in  <-chan []float64
-
-	sendTimer *time.Timer
-	recvTimer *time.Timer
-}
-
-// armTimer returns *tp reset to d, creating it on first use. Go 1.23+ timer
-// semantics (Reset flushes a stale fire) make the bare Reset race-free for
-// a single-goroutine owner.
-func armTimer(tp **time.Timer, d time.Duration) *time.Timer {
-	if *tp == nil {
-		*tp = time.NewTimer(d)
-	} else {
-		(*tp).Reset(d)
-	}
-	return *tp
-}
-
-func (e *chanEndpoint) Send(msg []float64) error {
-	e.out <- msg
-	return nil
-}
-
-func (e *chanEndpoint) Recv() ([]float64, error) {
-	return <-e.in, nil
-}
-
-// SendTimed sends msg within the policy's retry budget. Because a channel
-// send is idempotent until it succeeds, "retry" is simply another bounded
-// wait on the same operation — what makes guarded collectives deadlock-free
-// by construction.
-func (e *chanEndpoint) SendTimed(msg []float64, p RetryPolicy) error {
-	d := p.HopTimeout
-	timer := armTimer(&e.sendTimer, d)
-	defer timer.Stop()
-	for attempt := 0; ; attempt++ {
-		select {
-		case e.out <- msg:
-			return nil
-		case <-timer.C:
-			if attempt >= p.Retries {
-				return ErrHopTimeout
-			}
-			d = nextDeadline(d, p)
-			timer.Reset(d)
-		}
-	}
-}
-
-// RecvTimed receives within the policy's retry budget.
-func (e *chanEndpoint) RecvTimed(p RetryPolicy) ([]float64, error) {
-	d := p.HopTimeout
-	timer := armTimer(&e.recvTimer, d)
-	defer timer.Stop()
-	for attempt := 0; ; attempt++ {
-		select {
-		case msg := <-e.in:
-			return msg, nil
-		case <-timer.C:
-			if attempt >= p.Retries {
-				return nil, ErrHopTimeout
-			}
-			d = nextDeadline(d, p)
-			timer.Reset(d)
-		}
-	}
-}

@@ -155,4 +155,10 @@ go test -run='^$' -fuzz=FuzzRingFaults -fuzztime=10s ./internal/runtime
 echo "== elastic fuzz smoke: runtime FuzzElasticMembership =="
 go test -run='^$' -fuzz=FuzzElasticMembership -fuzztime=10s ./internal/runtime
 
+# The TCP reader decodes bytes from other processes: arbitrary frames and
+# hellos must decode exactly or fail cleanly, with bounded scratch.
+echo "== wire fuzz smoke: allreduce FuzzReadFrame, FuzzParseHello =="
+go test -run='^$' -fuzz=FuzzReadFrame -fuzztime=10s ./internal/allreduce
+go test -run='^$' -fuzz=FuzzParseHello -fuzztime=10s ./internal/allreduce
+
 echo "OK"
